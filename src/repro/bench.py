@@ -29,7 +29,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments import scaling
 from repro.run import run_workload
-from repro.sim import kernel as vector_kernel
 from repro.sim.params import MachineConfig
 from repro.workloads import get_workload
 
@@ -38,9 +37,8 @@ BENCH_FILE = "BENCH_engine.json"
 #: (key, workload, threads, scale, profiled) throughput scenarios.
 #: The ``*/serial`` scenarios run single-threaded: with one runnable
 #: thread the scheduler grants unbounded quanta, so they are the purest
-#: measure of burst-kernel throughput (the vector kernel batches longest
-#: there). ``synthetic/serial`` degenerates to a single enormous
-#: private-line burst — the long-burst showcase.
+#: measure of burst-loop throughput. ``synthetic/serial`` degenerates to
+#: a single enormous private-line burst.
 THROUGHPUT_SCENARIOS = (
     ("linear_regression/native", "linear_regression", 8, 1.0, False),
     ("linear_regression/cheetah", "linear_regression", 8, 1.0, True),
@@ -51,7 +49,6 @@ THROUGHPUT_SCENARIOS = (
 
 SEED = 11
 
-KERNELS = ("fused", "vector", "auto")
 MODES = ("simulate", "predict", "sampled")
 
 #: The predict-mode showcase scenario: a thread/volume combination far
@@ -66,17 +63,13 @@ PREDICT_REPLICA = {"threads": 64, "scale": 4.0}
 
 def _measure_throughput(name: str, threads: int, scale: float,
                         profiled: bool, repeats: int,
-                        kernel: Optional[str] = None,
                         mode: Optional[str] = None) -> Dict[str, object]:
     cls = get_workload(name)
     config = None
-    if kernel or (mode and mode != "simulate"):
-        defaults = MachineConfig()
-        config = MachineConfig(kernel=kernel or defaults.kernel,
-                               mode=mode or defaults.mode)
+    if mode and mode != "simulate":
+        config = MachineConfig(mode=mode)
     best_rate = 0.0
     accesses = 0
-    variant = "fused"
     for _ in range(repeats):
         workload = cls(num_threads=threads, scale=scale)
         start = time.perf_counter()
@@ -87,10 +80,8 @@ def _measure_throughput(name: str, threads: int, scale: float,
         # of the target run, so the rate reads as effective accesses per
         # second — the fair apples-to-apples number for mode comparison.
         accesses = outcome.result.total_accesses
-        variant = outcome.result.metadata.get("kernel", "fused")
         best_rate = max(best_rate, accesses / elapsed)
-    return {"accesses": accesses, "accesses_per_sec": round(best_rate, 1),
-            "kernel": variant}
+    return {"accesses": accesses, "accesses_per_sec": round(best_rate, 1)}
 
 
 def measure_predict_speedup(repeats: int = 1) -> Dict[str, object]:
@@ -175,12 +166,10 @@ def _measure_wall(fn: Callable[[], object], repeats: int) -> float:
     return round(best, 4)
 
 
-def run_bench(repeats: int = 3,
-              kernel: Optional[str] = None) -> Dict[str, object]:
+def run_bench(repeats: int = 3) -> Dict[str, object]:
     """Run every benchmark once; returns the entry dict (no file I/O)."""
     throughput = {
-        key: _measure_throughput(name, threads, scale, profiled, repeats,
-                                 kernel=kernel)
+        key: _measure_throughput(name, threads, scale, profiled, repeats)
         for key, name, threads, scale, profiled in THROUGHPUT_SCENARIOS
     }
     experiments = {
@@ -192,8 +181,6 @@ def run_bench(repeats: int = 3,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
         "repeats": repeats,
-        "kernel": kernel or "auto",
-        "numpy": vector_kernel.HAVE_NUMPY,
         "throughput": throughput,
         "experiments": experiments,
         "predict": {
@@ -203,9 +190,8 @@ def run_bench(repeats: int = 3,
     }
 
 
-def run_compare(variants: Sequence[str], repeats: int = 3,
-                variant_kind: str = "kernel") -> str:
-    """Measure every throughput scenario under each kernel *or* mode;
+def run_compare(variants: Sequence[str], repeats: int = 3) -> str:
+    """Measure every throughput scenario under each execution mode;
     returns a speedup table (first variant is the denominator)."""
     header = f"{'scenario':<28}" + "".join(
         f"{v + ' acc/s':>18}" for v in variants)
@@ -215,18 +201,15 @@ def run_compare(variants: Sequence[str], repeats: int = 3,
     for key, name, threads, scale, profiled in THROUGHPUT_SCENARIOS:
         rates = []
         for variant in variants:
-            kwargs = ({"kernel": variant} if variant_kind == "kernel"
-                      else {"mode": variant})
             rates.append(_measure_throughput(
                 name, threads, scale, profiled, repeats,
-                **kwargs)["accesses_per_sec"])
+                mode=variant)["accesses_per_sec"])
         row = f"{key:<28}" + "".join(f"{r:>18,.0f}" for r in rates)
         if len(variants) > 1:
             row += f"{rates[-1] / rates[0]:>9.2f}x"
         lines.append(row)
-    if variant_kind == "mode":
-        lines.append("(analytical-mode rates are effective: predicted "
-                     "accesses of the target run per wall second)")
+    lines.append("(analytical-mode rates are effective: predicted "
+                 "accesses of the target run per wall second)")
     return "\n".join(lines)
 
 
@@ -299,12 +282,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              f"{BENCH_FILE}")
     parser.add_argument("--path", type=Path, default=None,
                         help=f"override the {BENCH_FILE} location")
-    parser.add_argument("--kernel", choices=("fused", "vector", "auto"),
-                        default=None,
-                        help="burst kernel to bench (default: auto)")
     parser.add_argument("--compare", metavar="V1,V2", default=None,
-                        help="measure each listed kernel (fused,vector) or "
-                             "mode (simulate,predict,sampled) and print a "
+                        help="measure each listed mode "
+                             "(simulate,predict,sampled) and print a "
                              f"speedup table; does not touch {BENCH_FILE}")
     args = parser.parse_args(argv)
 
@@ -313,23 +293,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not variants:
             parser.error(f"--compare: nothing to compare in "
                          f"{args.compare!r}")
-        if all(v in KERNELS for v in variants):
-            kind = "kernel"
-        elif all(v in MODES for v in variants):
-            kind = "mode"
-        else:
-            bad = [v for v in variants
-                   if v not in KERNELS and v not in MODES]
-            parser.error(
-                f"--compare: unknown variant(s) {bad}; list either "
-                f"kernels {KERNELS} or modes {MODES}, not a mixture")
-        print(run_compare(variants, repeats=args.repeats,
-                          variant_kind=kind))
+        bad = [v for v in variants if v not in MODES]
+        if bad:
+            parser.error(f"--compare: unknown mode(s) {bad}; "
+                         f"choose from {MODES}")
+        print(run_compare(variants, repeats=args.repeats))
         return 0
 
     path = args.path or Path(__file__).resolve().parents[2] / BENCH_FILE
     entries = load_entries(path)
-    entry = run_bench(repeats=args.repeats, kernel=args.kernel)
+    entry = run_bench(repeats=args.repeats)
     entry["label"] = args.label
     print(render_comparison(entries, entry))
     if not args.no_update:

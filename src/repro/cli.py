@@ -161,12 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cache line size in bytes (default: machine's)")
         p.add_argument("--cores", type=int, default=None,
                        help="core count (default: machine's)")
-        p.add_argument("--kernel", choices=("fused", "vector", "auto"),
-                       default=None,
-                       help="burst kernel: 'fused' scalar loop, 'vector' "
-                            "array-batched spans, or 'auto' (default) — "
-                            "vector when no observer/sanitizer needs "
-                            "per-access visibility, else fused")
         p.add_argument("--mode", choices=("simulate", "predict", "sampled"),
                        default=None,
                        help="execution mode: 'simulate' (default) runs "
@@ -315,9 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cache line size in bytes (default: machine's)")
     pred_p.add_argument("--cores", type=int, default=None,
                         help="core count (default: machine's)")
-    pred_p.add_argument("--kernel", choices=("fused", "vector", "auto"),
-                        default=None,
-                        help="burst kernel for the prefix/burst runs")
     pred_p.add_argument("--mode", choices=("predict", "sampled"),
                         default="predict",
                         help="'predict' (default): analytical model; "
@@ -387,14 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--service", action="store_true",
                          help="run the run-service cold/warm cache bench "
                               "instead (records BENCH_service.json)")
-    bench_p.add_argument("--kernel", choices=("fused", "vector", "auto"),
-                         default=None,
-                         help="burst kernel to bench (default: auto)")
     bench_p.add_argument("--compare", metavar="V1,V2", default=None,
-                         help="measure each listed kernel (fused,vector) "
-                              "or mode (simulate,predict,sampled) and "
-                              "print a speedup table instead of "
-                              "recording an entry")
+                         help="measure each listed mode "
+                              "(simulate,predict,sampled) and print a "
+                              "speedup table instead of recording an "
+                              "entry")
 
     cache_p = sub.add_parser(
         "cache", parents=[json_parent],
@@ -997,8 +985,6 @@ def cmd_bench(args) -> int:
         argv = ["--repeats", str(args.repeats), "--label", args.label]
         if args.no_update:
             argv.append("--no-update")
-        if args.kernel:
-            argv += ["--kernel", args.kernel]
         if args.compare:
             argv += ["--compare", args.compare]
         code = bench.main(argv)

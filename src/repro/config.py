@@ -146,7 +146,6 @@ def build_configs(args: Any) -> CLIConfigs:
 
     line_size = get("line_size")
     cores = get("cores")
-    kernel = get("kernel")
     mode = get("mode")
     check = bool(get("check", False))
     want_trace = bool(get("trace")) or get("command") == "trace"
@@ -189,7 +188,6 @@ def build_configs(args: Any) -> CLIConfigs:
         jitter_seed=get("seed", 0xC0FFEE),
         profile=(bool(get("profile", False))
                  or command in ("profile", "predict")),
-        kernel=kernel,
         mode=mode,
         detector=get("detector"),
         adaptive=bool(get("adaptive", False)),

@@ -20,8 +20,8 @@ policy over the simulated :class:`~repro.pmu.sampler.PMU`:
   vice-versa for ``"read"``; ``"all"`` delivers everything.
 
 Period changes take effect at each thread's *next* fire — the engine's
-fused and vectorised burst kernels only cache countdowns, never the
-period itself, so a live change needs no kernel cooperation.
+burst loops only cache countdowns, never the period itself, so a live
+change needs no engine cooperation.
 """
 
 from __future__ import annotations

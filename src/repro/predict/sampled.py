@@ -3,7 +3,7 @@
 Where ``mode="predict"`` replaces simulation with arithmetic,
 ``mode="sampled"`` keeps the real machinery — every burst is an
 ordinary full simulation (same thread count, reduced scale) through the
-existing fused/vector kernels, the PMU, the detector, and (when
+existing burst loops, the PMU, the detector, and (when
 ``check=True``) the coherence sanitizer — and only the *extrapolation*
 to the target scale is analytical. That makes it the trustworthy middle
 ground: bit-identical to simulate mode at the burst scale, with

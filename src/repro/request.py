@@ -62,8 +62,10 @@ class RunRequest(ConfigBase):
             ``cheetah``) — see :attr:`profiled` — mirroring the CLI,
             where ``--period``/``--detector``/``--adaptive`` switch a
             command into profiled mode.
-        kernel: burst kernel (``fused`` / ``vector`` / ``auto``);
-            ``None`` keeps the machine default.
+        kernel: validated (``fused`` / ``vector`` / ``auto``) and kept
+            in the content key for compatibility, but selects nothing
+            (see ``MachineConfig.kernel``); ``None`` keeps the machine
+            default.
         mode: execution mode (``simulate`` / ``predict`` / ``sampled``);
             ``None`` keeps the machine default.
         detector: detection mode (``offline`` / ``windowed``); ``None``

@@ -48,8 +48,8 @@ class _BurstState:
 
     Zero-trip loops (``count == 0`` or ``repeat == 0``) are no-ops the
     engine filters out before constructing burst state, so an in-flight
-    burst always has strictly positive extents — the burst kernels'
-    remaining-iteration arithmetic depends on it, and a negative value
+    burst always has strictly positive extents — the burst loops'
+    completion checks depend on it, and a negative value
     sneaking through the engine's truthiness guard would silently run
     the loop the wrong way. Enforced here, at the single choke point.
     """

@@ -11,7 +11,7 @@ simulates and populates, the warm pass replays. Both passes must render
 byte-identical output (asserted here, not just in tests), and the warm
 pass's lookups must be served ≥90% from cache.
 
-Use via ``python tools/bench_service.py`` or ``repro bench --service``.
+Run it with ``repro bench --service``.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Differential fuzzer: random op programs, bit-identical outputs.
 
-PR 2's commit message claims the fused burst kernel, the observed burst
-loop and the sanitizer-free fast paths are all semantically identical.
-This module turns that claim into a property test: generate a random —
-but fully seeded, so exactly reproducible — multi-threaded op program,
-run it through every execution path, and assert the run *fingerprints*
-(runtime, per-thread clocks/counters, machine totals, per-line
-invalidations, PMU fire counts) are equal bit for bit.
+The fused burst loop, the observed burst loop and the sanitizer-free
+fast paths must all be semantically identical. This module turns that
+claim into a property test: generate a random — but fully seeded, so
+exactly reproducible — multi-threaded op program, run it through every
+execution path, and assert the run *fingerprints* (runtime, per-thread
+clocks/counters, machine totals, per-line invalidations, PMU fire
+counts) are equal bit for bit.
 
 Programs are plain JSON-able dicts ("specs"), so a failing program can
 be checked into ``tests/data/fuzz_corpus.json`` as a permanent
@@ -16,22 +16,16 @@ regression, and a divergence can be triaged by re-running a single seed:
 
 Execution paths diffed per spec:
 
-- ``fast``            — fused burst kernel (no observer, no sanitizer);
-- ``observed``        — general per-access loop, via a zero-cost observer;
-- ``checked``         — sanitizer mode (``Machine(check=True)``), which
-                        must be behaviour-preserving, not just clean;
-- ``vector``          — the array-batched kernel (:mod:`repro.sim.kernel`),
-                        batching provably-HIT spans with slow-path escapes;
-- ``vector-checked``  — the vector planner re-proved per access under the
-                        sanitizer (every planned access must be the HIT
-                        the planner claimed);
-- ``pmu-*``           — the same set with a PMU attached, exercising the
-                        kernels' inlined sampling countdowns.
+- ``fast``      — fused burst loop (no observer, no sanitizer);
+- ``observed``  — general per-access loop, via a zero-cost observer;
+- ``checked``   — sanitizer mode (``Machine(check=True)``), which must be
+                  behaviour-preserving, not just clean;
+- ``pmu-*``     — the same set with a PMU attached, exercising the fused
+                  loop's inlined sampling countdown.
 
 Specs may carry a ``checkpoints`` list of cycle numbers; the fired
 ``(cycle, now)`` pairs join the fingerprint, pinning quantum boundaries
-(a batched span must escape at a checkpoint-bounded limit exactly where
-the scalar loop would).
+(every loop must pause at a checkpoint-bounded limit on the same step).
 """
 
 from __future__ import annotations
@@ -119,8 +113,7 @@ def generate_spec(seed: int) -> Dict:
     }
     # Drawn last so adding this field left every earlier field of
     # pre-existing seeds unchanged: mid-run checkpoints bound scheduling
-    # quanta, forcing the vector kernel to escape a batch exactly where
-    # the scalar loop would stop.
+    # quanta, so every burst loop must pause on exactly the same step.
     spec["checkpoints"] = (
         sorted(rng.randint(50, 20000) for _ in range(rng.randint(1, 3)))
         if rng.random() < 0.4 else [])
@@ -204,9 +197,9 @@ def fingerprint(result, pmu: Optional[PMU] = None,
 
 
 def run_spec(spec: Dict, *, observed: bool = False, check: bool = False,
-             pmu: bool = False, kernel: str = "fused") -> Dict:
+             pmu: bool = False) -> Dict:
     """Run one spec on a fresh machine; returns its fingerprint."""
-    config = MachineConfig(num_cores=spec["num_cores"], kernel=kernel)
+    config = MachineConfig(num_cores=spec["num_cores"])
     machine = Machine(config, timing_jitter=spec["jitter"],
                       jitter_seed=spec["jitter_seed"],
                       transfer_window=spec["transfer_window"],
@@ -243,9 +236,7 @@ def diff_spec(spec: Dict) -> Optional[Dict]:
     base = run_spec(spec)
     for variant, kwargs in (
             ("observed", {"observed": True}),
-            ("checked", {"check": True}),
-            ("vector", {"kernel": "vector"}),
-            ("vector-checked", {"kernel": "vector", "check": True})):
+            ("checked", {"check": True})):
         delta = _first_divergence(base, run_spec(spec, **kwargs))
         if delta is not None:
             return {"seed": spec["seed"], "variants": ("fast", variant),
@@ -253,8 +244,7 @@ def diff_spec(spec: Dict) -> Optional[Dict]:
     pmu_base = run_spec(spec, pmu=True)
     for variant, kwargs in (
             ("pmu-observed", {"pmu": True, "observed": True}),
-            ("pmu-checked", {"pmu": True, "check": True}),
-            ("pmu-vector", {"pmu": True, "kernel": "vector"})):
+            ("pmu-checked", {"pmu": True, "check": True})):
         delta = _first_divergence(pmu_base, run_spec(spec, **kwargs))
         if delta is not None:
             return {"seed": spec["seed"], "variants": ("pmu-fast", variant),

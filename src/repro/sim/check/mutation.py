@@ -1,22 +1,16 @@
 """Seeded-mutation self-test: prove the sanitizer actually catches bugs.
 
 A safety net that has never caught anything proves nothing. This module
-deliberately plants two classic bugs and asserts the validation net
-detects each on a small two-thread false-sharing program:
+deliberately plants a classic bug and asserts the validation net detects
+it on a small two-thread false-sharing program:
+:class:`BrokenFastPathMachine` corrupts the machine's private-HIT
+*write* predicate — a write to a shared line is mispriced as a HIT and
+performs no invalidation, silently erasing the coherence traffic false
+sharing is made of. The sanitizer must refuse it on the first such
+write.
 
-- :class:`BrokenFastPathMachine` corrupts the machine's private-HIT
-  *write* predicate — a write to a shared line is mispriced as a HIT and
-  performs no invalidation, silently erasing the coherence traffic false
-  sharing is made of. The sanitizer must refuse it on the first such
-  write.
-- :class:`BrokenVectorKernelMachine` corrupts the vector kernel's batch
-  planner the same way (claiming writes to shared lines are privately
-  batchable). The checked vector kernel re-proves every planned access
-  through the sanitizer-wrapped machine entry point and must reject the
-  first span the broken planner over-claims.
-
-``repro validate`` runs both every time, so a regression that weakens
-either net is itself caught.
+``repro validate`` runs it every time, so a regression that weakens the
+net is itself caught.
 """
 
 from __future__ import annotations
@@ -66,24 +60,6 @@ class BrokenFastPathMachine(Machine):
     _raw_access_tuple = access_tuple
 
 
-class BrokenVectorKernelMachine(Machine):
-    """Machine with a corrupted batch-planner predicate.
-
-    The vector kernel batches a span only when every line it touches
-    satisfies :meth:`Machine.line_is_private`. This mutant answers the
-    *read* predicate for writes — any holder qualifies — so the planner
-    happily batches writes to lines other cores still hold, skipping
-    their invalidations wholesale. Under ``kernel="vector"`` with the
-    sanitizer attached the checked kernel re-validates each planned
-    access and must raise on the first span the plan over-claims.
-    """
-
-    def line_is_private(self, core: int, state, is_write: bool) -> bool:
-        # BUG (deliberate): ignores ``is_write`` — for writes the only
-        # batchable state is ``state.dirty_owner == core``.
-        return core in state.holders
-
-
 def _false_sharing_program(api):
     """Two threads read-then-write disjoint words of one shared line."""
 
@@ -97,33 +73,12 @@ def _false_sharing_program(api):
     yield from api.join(second)
 
 
-def _shared_then_written_program(api):
-    """Both threads read a line (becoming shared holders), then write it.
-
-    At write-burst plan time each core holds the line but is not its
-    dirty owner — exactly the state where the honest write predicate
-    (``dirty_owner == core``) and the corrupted one (``core in
-    holders``) disagree. A read+write loop would not expose it: the
-    write inside each iteration takes ownership before the next plan.
-    """
-
-    def worker(api, addr):
-        yield from api.loop(addr, 0, 1, read=True, write=False, repeat=20)
-        yield from api.loop(addr, 0, 1, read=False, write=True, repeat=20)
-
-    buf = yield from api.malloc(64, callsite="mutation.c:2")
-    first = yield from api.spawn(worker, buf)
-    second = yield from api.spawn(worker, buf + 4)
-    yield from api.join(first)
-    yield from api.join(second)
-
-
-def _run(machine: Machine, program=_false_sharing_program) -> None:
+def _run(machine: Machine) -> None:
     config = machine.config
     engine = Engine(config=config, machine=machine,
                     allocator=CheetahAllocator(
                         line_size=config.cache_line_size))
-    engine.run(program)
+    engine.run(_false_sharing_program)
 
 
 def run_mutation_selftest() -> ValidationError:
@@ -141,29 +96,3 @@ def run_mutation_selftest() -> ValidationError:
     raise SimulationError(
         "sanitizer self-test failed: the deliberately corrupted "
         "fast-path write predicate went undetected")
-
-
-def run_vector_mutation_selftest() -> ValidationError:
-    """Prove the checked vector kernel catches a corrupted batch planner.
-
-    Runs the false-sharing program under ``kernel="vector"`` with the
-    sanitizer attached (which selects the checked vector kernel): the
-    honest machine must pass clean, and
-    :class:`BrokenVectorKernelMachine` — whose planner claims writes to
-    shared lines are privately batchable — must raise
-    :class:`ValidationError` on the first over-claimed access. Returns
-    the caught error; raises :class:`SimulationError` if either leg
-    misbehaves.
-    """
-    config = MachineConfig(num_cores=4, kernel="vector")
-    # Honest planner: must be clean on both programs.
-    _run(Machine(config, check=True))
-    _run(Machine(config, check=True), _shared_then_written_program)
-    try:
-        _run(BrokenVectorKernelMachine(config, check=True),
-             _shared_then_written_program)
-    except ValidationError as caught:
-        return caught
-    raise SimulationError(
-        "vector-kernel self-test failed: the deliberately corrupted "
-        "batch planner went undetected")

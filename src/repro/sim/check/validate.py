@@ -28,9 +28,7 @@ from typing import List, Optional
 
 from repro.errors import ValidationError
 from repro.sim.check import fuzz as fuzz_mod
-from repro.sim.check.mutation import (
-    run_mutation_selftest, run_vector_mutation_selftest,
-)
+from repro.sim.check.mutation import run_mutation_selftest
 
 #: (workload, threads, scale) triples for the sanitized-workload stage.
 SMOKE_WORKLOADS = (
@@ -101,25 +99,15 @@ def run_parallel_equivalence(echo=print) -> List[str]:
 
 
 def run_selftest(echo=print) -> List[str]:
-    """Both planted mutations must be caught: the corrupted fast-path
-    write predicate (sanitizer) and the corrupted vector batch planner
-    (checked vector kernel)."""
-    failures = []
+    """The planted mutation — a corrupted fast-path write predicate —
+    must be caught by the sanitizer."""
     try:
         caught = run_mutation_selftest()
     except Exception as error:  # SimulationError or an unexpected leak
         echo(f"  FAIL: {error}")
-        failures.append(str(error))
-    else:
-        echo(f"  corrupted write predicate caught [{caught.invariant}]")
-    try:
-        caught = run_vector_mutation_selftest()
-    except Exception as error:
-        echo(f"  FAIL: {error}")
-        failures.append(str(error))
-    else:
-        echo(f"  corrupted batch planner caught [{caught.invariant}]")
-    return failures
+        return [str(error)]
+    echo(f"  corrupted write predicate caught [{caught.invariant}]")
+    return []
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -93,13 +93,6 @@ class CoherenceDirectory:
         self._line_shift = line_shift
         self._lines: Dict[int, LineState] = {}
         self._capacity = capacity_lines
-        # Monotone mutation counter: bumped on every dispatch through
-        # :meth:`access` (the only entry point that can change sharing
-        # state). The vector kernel's checked mode caches a batch plan
-        # and revalidates it whenever this counter moved — private HITs
-        # taken on the machine's fast path never come through here, so
-        # an unchanged version proves the planned lines are untouched.
-        self.version = 0
         # Per-core LRU of resident lines; only maintained in finite mode.
         self._resident: Dict[int, OrderedDict] = {}
         # line -> core for lines held exclusive-modified by one core. This
@@ -166,7 +159,6 @@ class CoherenceDirectory:
         called once per non-private access, so the two extra method calls
         a ``_read``/``_write`` split costs are measurable.
         """
-        self.version += 1
         line = addr >> self._line_shift
         state = self._lines.get(line)
         if state is None:

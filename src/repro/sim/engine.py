@@ -26,12 +26,10 @@ import os.path
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import DeadlockError, SimulationError, ThreadError, \
-    ValidationError
+from repro.errors import DeadlockError, SimulationError, ThreadError
 from repro.heap.allocator import CheetahAllocator
 from repro.runtime.phases import PhaseTracker
 from repro.runtime.thread import SimThread, ThreadAPI, ThreadState, _BurstState
-from repro.sim import coherence, kernel as vector_kernel
 from repro.sim.machine import Machine
 from repro.sim.ops import (
     Barrier, Fence, Free, Join, Load, LoopAccess, Malloc, Op, Spawn, Store,
@@ -42,16 +40,6 @@ from repro.symbols.table import SymbolTable
 
 _INFINITY = float("inf")
 _CALLSITE_DEPTH = 5  # the paper collects five call-stack entries
-# Adaptive vector-kernel throttles (pure perf policy — both kernels are
-# bit-identical, so switching mid-run cannot change any output). A thread
-# whose bursts fail to batch this many consecutive resumes stops planning
-# for the rest of the run; a single call that hits this many consecutive
-# scalar escapes stops replanning per iteration and delegates its quantum.
-_VECTOR_ADAPT = 64
-_VECTOR_ESCAPE_RUN = 24
-# Entries kept in the whole-burst plan cache (LRU-evicted beyond this;
-# bounds memory on programs with many distinct burst shapes).
-_PLAN_CACHE_MAX = 4096
 # Simulation steps between opportunistic sweeps of the machine's coherence
 # pin table (Machine.prune_pins); bounds an otherwise unbounded dict.
 _PIN_PRUNE_INTERVAL = 8192
@@ -156,18 +144,6 @@ class Engine:
         # swept; see the pruning block in run().
         self._next_pin_prune = _PIN_PRUNE_INTERVAL
         self._ran = False
-        # Burst kernel selection (resolved per-run in _resolve_kernel):
-        # which variant ran, and the shared jitter-stream buffer the
-        # vector kernel draws from (created lazily on first batched span).
-        self._kernel_variant = "fused"
-        self._jstream = None
-        # Per-thread consecutive no-batch counter for the adaptive
-        # vector-kernel opt-out (see _run_burst_vector).
-        self._vector_miss: Dict[int, int] = {}
-        # Whole-burst plan proofs keyed by (core, base, stride, count,
-        # write), valid while the directory version is unchanged.
-        # LRU-bounded so long runs over many burst shapes stay flat.
-        self._plan_cache = vector_kernel.PlanCache(_PLAN_CACHE_MAX)
         # (cycle, callback) checkpoints, fired once when simulated time
         # first passes the cycle — the "interrupted by the user" hook the
         # paper's mid-run reporting needs (Section 2.4).
@@ -210,7 +186,18 @@ class Engine:
         runnable = ThreadState.RUNNABLE
         max_steps = self._max_steps
         resume = self._resume
-        run_burst = self._resolve_kernel()
+        # The fused loop answers private HITs without calling the
+        # machine's entry point or the observer, so bursts take the
+        # general per-access loop whenever something must see every
+        # access (an observer, or the sanitizer or per-access obs, which
+        # rebind ``access_tuple`` on the instance) or the private-HIT
+        # fast path is off (finite caches). Chosen once: none of these
+        # changes mid-run.
+        if (self.observer is None and sanitizer is None
+                and machine.obs is None and machine._fast_private):
+            run_burst = self._run_burst
+        else:
+            run_burst = self._run_burst_observed
         woken: List[SimThread] = []
 
         while ready:
@@ -295,41 +282,8 @@ class Engine:
             allocator=self.allocator,
             symbols=self.symbols,
             steps=self._steps,
-            metadata={"kernel": self._kernel_variant,
-                      "kernel_numpy": vector_kernel.HAVE_NUMPY},
+            metadata={"kernel": "fused"},
         )
-
-    def _resolve_kernel(self):
-        """Pick the burst runner for this run (see MachineConfig.kernel).
-
-        The vector kernel batches provably private-HIT spans without
-        routing each access through the machine entry point, so it is
-        only eligible when nothing needs to see every access: no
-        observer, no sanitizer, no obs instrumentation, and the
-        machine's private-HIT fast path itself valid (infinite caches).
-        ``auto`` silently falls back to the fused loop otherwise (which
-        in turn routes to the general per-access loop). An *explicit*
-        ``vector`` request under the sanitizer selects the checked
-        variant instead: every planned access is re-validated through
-        the sanitizer-wrapped entry point and asserted to be the HIT the
-        planner claimed — the self-test hook that catches planner bugs.
-        """
-        machine = self.machine
-        choice = getattr(self.config, "kernel", "auto")
-        clean = (self.observer is None and machine.sanitizer is None
-                 and machine.obs is None and self.obs is None
-                 and machine._fast_private)
-        if choice != "fused":
-            if clean:
-                self._kernel_variant = "vector"
-                return self._run_burst_vector
-            if (choice == "vector" and machine.sanitizer is not None
-                    and self.observer is None and machine.obs is None
-                    and self.obs is None and machine._fast_private):
-                self._kernel_variant = "vector-checked"
-                return self._run_burst_vector_checked
-        self._kernel_variant = "fused"
-        return self._run_burst
 
     # -- thread lifecycle ------------------------------------------------------
 
@@ -536,25 +490,18 @@ class Engine:
         resumed), False when it paused because the thread overran its
         scheduling quantum.
 
-        This is the simulator's innermost loop: for the common case
-        (no observer) the machine's private-HIT check, the thread's
-        clock/counter updates and the PMU's sampling countdown are fused
-        into one loop over plain locals, flushed back on every exit and
-        around every slow-path call. The fused loop consumes the jitter
-        stream and the PMU countdown in exactly the same order as the
-        general path, so all outputs stay bit-identical.
+        This is the simulator's innermost loop, selected by :meth:`run`
+        when nothing needs to see every access: the machine's
+        private-HIT check, the thread's clock/counter updates and the
+        PMU's sampling countdown are fused into one loop over plain
+        locals, flushed back on every exit and around every slow-path
+        call. The fused loop consumes the jitter stream and the PMU
+        countdown in exactly the same order as the general path, so all
+        outputs stay bit-identical.
         """
         burst = thread.burst
         assert burst is not None
         machine = self.machine
-        if (self.observer is not None or not machine._fast_private
-                or machine.sanitizer is not None
-                or machine.obs is not None):
-            # Sanitizer and per-access observability modes must see
-            # *every* access, so bursts take the general per-access loop
-            # (whose machine calls route through the instance-rebound
-            # entry point).
-            return self._run_burst_observed(thread, limit)
         pmu = self.pmu
 
         # Machine fast-path state (constants bundled at construction).
@@ -719,8 +666,9 @@ class Engine:
                 burst.repeat = repeat
 
     def _run_burst_observed(self, thread: SimThread, limit: float) -> bool:
-        """General burst loop, used whenever an observer sees every access
-        (baselines, trace recording); semantically identical to the fused
+        """General burst loop, used whenever something sees every access
+        (observer baselines, trace recording, the sanitizer, per-access
+        obs) or caches are finite; semantically identical to the fused
         loop in :meth:`_run_burst`."""
         burst = thread.burst
         assert burst is not None
@@ -747,278 +695,6 @@ class Engine:
             thread.burst = None
             return True
         return False
-
-    def _run_burst_vector(self, thread: SimThread, limit: float) -> bool:
-        """Array-batched burst kernel (see :mod:`repro.sim.kernel`).
-
-        Plans how many upcoming iterations are provably private HITs
-        (one directory probe per cache line), then charges the whole
-        span in O(1): clock and counters advance arithmetically, the
-        jitter contribution comes from the precomputed stream buffer,
-        and the PMU countdown is decremented wholesale (the plan never
-        extends past the next fire). Scalar escapes handle everything
-        else — first touch, coherence transitions, PMU fires, quantum
-        and checkpoint edges — by dropping to the existing per-access
-        paths, so every output stays bit-identical to the fused loop.
-        """
-        burst = thread.burst
-        assert burst is not None
-        tid = thread.tid
-        miss = self._vector_miss
-        if miss.get(tid, 0) >= _VECTOR_ADAPT:
-            # This thread's bursts never batch (tiny loops or tight
-            # multi-thread quanta): stop paying the planning preamble.
-            # Outputs are bit-identical either way, so adapting is pure
-            # perf policy.
-            return self._run_burst(thread, limit)
-
-        index = burst.index
-        repeat = burst.repeat
-        count = burst.count
-        repeats_total = burst.repeat_total
-        left_total = (repeats_total - repeat) * count - index
-        min_span = vector_kernel.MIN_SPAN
-        # Tiny bursts: the fused scalar loop's constant factor wins;
-        # batching only pays off over long spans.
-        if left_total < min_span:
-            miss[tid] = miss.get(tid, 0) + 1
-            return self._run_burst(thread, limit)
-
-        machine = self.machine
-        do_read = burst.read
-        do_write = burst.write
-        work = burst.work
-        d = (1 if do_read else 0) + (1 if do_write else 0)
-        hit_cost = machine._hit_cost
-        jitter = machine._jitter
-        cost_max = d * (hit_cost + jitter) + work
-        # Nearly-expired quantum: not even a minimal span can fit.
-        if limit is not _INFINITY and thread.clock + min_span * cost_max > limit:
-            miss[tid] = miss.get(tid, 0) + 1
-            return self._run_burst(thread, limit)
-
-        pmu = self.pmu
-        stream = self._jstream
-        plan_span = vector_kernel.plan_span
-        plan_cache = self._plan_cache
-        directory = machine.directory
-        base = burst.base
-        stride = burst.stride
-        core = thread.core
-        word = self.config.word_size
-        dec_per_iter = d + work
-
-        escape_run = 0
-        while True:
-            clock = thread.clock
-            if clock > limit:
-                break
-            if index >= count:
-                index = 0
-                repeat += 1
-            if repeat >= repeats_total:
-                thread.burst = None
-                return True
-            # Bound the span by everything cheap *before* paying for
-            # directory probes: burst remainder, quantum fit, next PMU
-            # fire. plan_span is monotone in its cap, so planning within
-            # the bound yields the same span as planning then clipping.
-            cap = (repeats_total - repeat) * count - index
-            if limit is not _INFINITY and cost_max:
-                # Iterations whose start provably stays at or below the
-                # limit even if every jitter draw is maximal.
-                fit = (limit - clock) // cost_max + 1
-                if fit < cap:
-                    cap = fit
-            if pmu is not None and dec_per_iter:
-                k_pmu = (pmu._countdown[tid] - 1) // dec_per_iter
-                if k_pmu < cap:
-                    cap = k_pmu
-            if cap < min_span:
-                # A PMU fire or the quantum edge is imminent: run the
-                # tail through the fused scalar loop (exact fire,
-                # boundary and pause bookkeeping for free).
-                burst.index = index
-                burst.repeat = repeat
-                miss[tid] = miss.get(tid, 0) + 1
-                return self._run_burst(thread, limit)
-            if d:
-                # Whole-burst plan cache: once every line a burst sweeps
-                # proved private for this core, the proof stays valid
-                # until the directory mutates (its version counter moves
-                # on any non-fast-path access; fast-path HITs by
-                # definition change no directory state). Workloads
-                # re-issue identically-shaped bursts every iteration, so
-                # this skips the per-line probing almost always.
-                ckey = (core, base, stride, count, do_write)
-                if plan_cache.get(ckey) == directory.version:
-                    k = cap
-                else:
-                    k = plan_span(machine, core, base, stride, count,
-                                  index, cap, do_write)
-                    if k == cap and cap >= count:
-                        # cap >= count means the plan verified a full
-                        # sweep of the burst's line set.
-                        plan_cache.put(ckey, directory.version)
-            else:
-                # No memory accesses: every iteration is trivially a
-                # "hit" of zero memory work.
-                k = cap
-            if k < min_span:
-                if escape_run >= _VECTOR_ESCAPE_RUN:
-                    # Nothing here batches (e.g. a contended line the
-                    # thread keeps losing): stop replanning per
-                    # iteration and let the fused loop run the quantum.
-                    burst.index = index
-                    burst.repeat = repeat
-                    miss[tid] = miss.get(tid, 0) + 1
-                    return self._run_burst(thread, limit)
-                escape_run += 1
-                # Escape: one scalar iteration through the general
-                # per-access path (first touch, coherence transition, or
-                # a line set too fragmented to batch), then replan.
-                addr = base + index * stride
-                self._steps += 1
-                if do_read:
-                    self._access(thread, addr, False, word)
-                if do_write:
-                    self._access(thread, addr, True, word)
-                if work:
-                    self._do_work(thread, work)
-                index += 1
-                continue
-            escape_run = 0
-            # -- charge k provably-HIT iterations as one batch --
-            n_acc = d * k
-            if jitter and n_acc:
-                if stream is None:
-                    stream = self._jstream = vector_kernel.JitterStream(
-                        jitter, machine._jitter_state)
-                stream.sync(machine._jitter_state)
-                jsum = stream.take_span(n_acc)
-                machine._jitter_state = stream.state_at()
-            else:
-                jsum = 0
-            acc_cycles = n_acc * hit_cost + jsum
-            thread.clock = clock + acc_cycles + work * k
-            thread.instructions += dec_per_iter * k
-            thread.mem_accesses += n_acc
-            thread.mem_cycles += acc_cycles
-            machine.total_accesses += n_acc
-            machine.total_cycles += acc_cycles
-            if pmu is not None and dec_per_iter:
-                pmu._countdown[tid] -= dec_per_iter * k
-            self._steps += k
-            miss[tid] = 0
-            index += k
-            if index >= count:
-                # Normalize multi-sweep advances, but keep the exact
-                # "paused at the sweep boundary" representation
-                # (index == count) the fused loop produces — boundary
-                # completion below must fire on the same step it would.
-                sweeps, rem = divmod(index, count)
-                if rem == 0:
-                    repeat += sweeps - 1
-                    index = count
-                else:
-                    repeat += sweeps
-                    index = rem
-        burst.index = index
-        burst.repeat = repeat
-        # Completed exactly at the boundary?
-        if index >= count and repeat + 1 >= repeats_total:
-            thread.burst = None
-            return True
-        return False
-
-    def _run_burst_vector_checked(self, thread: SimThread,
-                                  limit: float) -> bool:
-        """Checked vector kernel: plan, then prove the plan per access.
-
-        Selected by an explicit ``kernel="vector"`` request under the
-        sanitizer. Runs at general-loop speed: every access goes through
-        the (sanitizer-wrapped) machine entry point, but accesses inside
-        a planned span must come back as the private HITs the planner
-        promised — anything else means the batch planner would have
-        mis-charged that span in the fast variant, and raises
-        :class:`ValidationError`. Plans are revalidated whenever the
-        directory's mutation counter moves (our own escape accesses move
-        it; other threads only run between bursts).
-        """
-        burst = thread.burst
-        assert burst is not None
-        machine = self.machine
-        directory = machine.directory
-        pmu = self.pmu
-        plan_span = vector_kernel.plan_span
-        word = self.config.word_size
-        core = thread.core
-        tid = thread.tid
-        count = burst.count
-        repeats_total = burst.repeat_total
-        base = burst.base
-        stride = burst.stride
-        do_read = burst.read
-        do_write = burst.write
-        work = burst.work
-        d = (1 if do_read else 0) + (1 if do_write else 0)
-        planned = 0
-        plan_version = -1
-        while thread.clock <= limit:
-            if burst.index >= count:
-                burst.index = 0
-                burst.repeat += 1
-            if burst.repeat >= repeats_total:
-                thread.burst = None
-                return True
-            self._steps += 1
-            if d:
-                if plan_version != directory.version:
-                    left_total = ((repeats_total - burst.repeat) * count
-                                  - burst.index)
-                    planned = plan_span(machine, core, base, stride, count,
-                                        burst.index, left_total, do_write)
-                    plan_version = directory.version
-                in_plan = planned > 0
-                planned -= 1
-                addr = base + burst.index * stride
-                if do_read:
-                    self._checked_access(thread, addr, False, word, in_plan)
-                if do_write:
-                    self._checked_access(thread, addr, True, word, in_plan)
-            if work:
-                self._do_work(thread, work)
-            burst.index += 1
-        if burst.index >= count and burst.repeat + 1 >= repeats_total:
-            thread.burst = None
-            return True
-        return False
-
-    def _checked_access(self, thread: SimThread, addr: int, is_write: bool,
-                        size: int, planned: bool) -> None:
-        """One access via the machine entry point, asserting the batch
-        planner's HIT claim when ``planned``."""
-        latency, kind, line = self.machine.access_tuple(
-            thread.core, addr, is_write, thread.clock)
-        if planned and kind != coherence.HIT:
-            raise ValidationError(
-                "vector-plan-mismatch",
-                "vector kernel planned a private HIT but the machine "
-                f"returned {kind!r}",
-                access={"core": thread.core, "addr": addr, "line": line,
-                        "is_write": is_write, "now": thread.clock,
-                        "kind": kind, "latency": latency},
-                expected=coherence.HIT, actual=kind)
-        thread.clock += latency
-        thread.instructions += 1
-        thread.mem_accesses += 1
-        thread.mem_cycles += latency
-        pmu = self.pmu
-        if pmu is not None:
-            extra = pmu.on_access(thread.tid, thread.core, addr, is_write,
-                                  latency, size, thread.clock)
-            if extra:
-                thread.clock += extra
 
     # -- callsite capture ----------------------------------------------------------
 

@@ -1,458 +1,18 @@
-"""Array-batched burst kernel: batch planning and the vectorized jitter stream.
+"""Two names kept only for perfbench; the simulator uses neither.
 
-The engine's fused burst loop (PR 1) pays a fixed per-access cost in
-Python bytecode: probe the directory, branch on the HIT predicate, step
-the xorshift jitter stream, update five counters. This module provides
-the two pieces that let the engine charge a whole *span* of provably
-private-HIT iterations in O(1) bookkeeping instead:
-
-- :func:`plan_span` — the batch planner. Given a burst's position it
-  walks the cache lines the upcoming iterations touch (one directory
-  probe per *line*, not per access) and returns how many iterations are
-  provably private HITs for the accessing core. Everything inside that
-  span is latency ``l1_hit + jitter draw`` with no directory mutation,
-  so the engine may account it wholesale; everything at the span edge
-  (first touch, coherence transition, PMU fire, quantum expiry) escapes
-  to the existing scalar paths.
-
-- :class:`JitterStream` — a buffered lookahead over the machine's global
-  xorshift64 timing-jitter stream. The stream is *shared global state*
-  (one draw per access, in global interleaving order), so batching k
-  accesses needs the sum of the next k draws and the stream state after
-  them. Draws are precomputed in bulk — with numpy when available
-  (`pip install .[perf]`), via GF(2) jump tables that advance the whole
-  buffer with eight table lookups per doubling — and consumed in exactly
-  the order the scalar path would have drawn them.
-
-Correctness is enforced end to end: the vector kernel must produce
-bit-identical clocks, counters, jitter stream positions, pin tables and
-PMU traps to the fused loop and the reference oracle (see
-``repro validate`` and tests/test_kernel.py).
-
-numpy is strictly optional: the pure-Python fallback batches the same
-way, just with a scalar draw generator. Set ``REPRO_NO_NUMPY=1`` to
-force the fallback even when numpy is importable (CI runs the whole
-validation net both ways).
+perfbench is the only reader: its environment stamp reads
+:data:`HAVE_NUMPY` and its traced mode wraps :func:`plan_span`. Both
+names go with the benchmark change that drops the ``sim.kernel.*`` rows.
 """
 
-from __future__ import annotations
-
-import os
-import sys
-from collections import OrderedDict
-from typing import List, Optional, Tuple
-
-try:
-    if os.environ.get("REPRO_NO_NUMPY"):
-        raise ImportError("numpy disabled via REPRO_NO_NUMPY")
-    import numpy
-except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY in CI
-    numpy = None
-
-#: True when draw generation is numpy-accelerated.
-HAVE_NUMPY = numpy is not None
-
-_MASK = 0xFFFFFFFFFFFFFFFF
-
-#: Minimum provably-HIT span worth batching; below this the fused scalar
-#: loop's constant factor wins (plan + stream sync cost a few probes).
-MIN_SPAN = 12
-
-#: Directory probes one plan call may spend before giving up and letting
-#: the engine batch what was found so far (bounds plan cost on huge bursts).
-PLAN_PROBE_CAP = 4096
+#: Always False: the simulator does not use numpy. perfbench's
+#: environment stamp is the only reader; the name goes with the
+#: benchmark change that drops the ``sim.kernel.*`` rows.
+HAVE_NUMPY = False
 
 
-class PlanCache:
-    """Bounded LRU map from burst-shape keys to directory versions.
-
-    The engine caches whole-burst plan proofs — "every line this burst
-    sweeps was private for this core at directory version V" — keyed by
-    ``(core, base, stride, count, is_write)``. A proof stays valid while
-    the directory version is unchanged, so a hit skips all per-line
-    probing. Long multithreaded runs over many distinct burst shapes
-    (e.g. per-thread heap chunks at many thread counts) used to grow the
-    backing dict until it was dropped wholesale; this cache instead
-    evicts the least-recently-used entry once ``cap`` is reached, so the
-    hot shapes of the current phase survive a cold sweep of one-shot
-    shapes.
-    """
-
-    __slots__ = ("cap", "_entries")
-
-    def __init__(self, cap: int = 4096):
-        if cap < 1:
-            raise ValueError(f"PlanCache cap must be >= 1, got {cap}")
-        self.cap = cap
-        self._entries: "OrderedDict[Tuple, int]" = OrderedDict()
-
-    def get(self, key: Tuple) -> Optional[int]:
-        """The cached directory version for ``key`` (refreshes LRU
-        recency), or ``None``."""
-        entries = self._entries
-        version = entries.get(key)
-        if version is not None:
-            entries.move_to_end(key)
-        return version
-
-    def put(self, key: Tuple, version: int) -> None:
-        """Record ``key`` as proven at ``version``; evicts the
-        least-recently-used entry when full."""
-        entries = self._entries
-        if key in entries:
-            entries[key] = version
-            entries.move_to_end(key)
-            return
-        if len(entries) >= self.cap:
-            entries.popitem(last=False)
-        entries[key] = version
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Tuple) -> bool:
-        return key in self._entries
-
-    def keys(self) -> List[Tuple]:
-        """Keys in LRU order (least recently used first); for tests."""
-        return list(self._entries)
-
-# Draw-buffer management: extend in chunks, compact once consumed past
-# the threshold so a long run's buffer stays bounded.
-_CHUNK = 1 << 16
-_COMPACT_AT = 1 << 17
-#: Lookahead kept buffered past every span so the scalar draws of the
-#: following escape stay searchable by :meth:`JitterStream.sync`.
-_SLACK = 64
-
-#: Byte-column order for the uint8 view in :func:`_np_apply`.
-_BIG_ENDIAN = sys.byteorder == "big"
-
-
-def xorshift_step(state: int) -> int:
-    """One step of the machine's xorshift64 jitter PRNG (the reference)."""
-    state ^= (state << 13) & _MASK
-    state ^= state >> 7
-    state ^= (state << 17) & _MASK
-    return state
-
-
-# -- GF(2) jump tables -------------------------------------------------------
-#
-# xorshift64 is linear over GF(2): each of the three update lines xors
-# the state with a shift of itself. The n-step map is therefore a 64x64
-# bit matrix, and f^(2^k) is obtained by squaring. A matrix is stored as
-# byte tables: eight 256-entry lookup tables whose xor is the image of a
-# state, so applying any precomputed jump to a state costs eight lookups
-# — and applying it to a whole numpy buffer costs eight fancy-indexed
-# gathers, which is what makes bulk draw generation cheap.
-
-_LEVEL_COLS: List[List[int]] = []   # _LEVEL_COLS[k][b] = f^(2^k)(1 << b)
-_LEVEL_TABS: List[List[List[int]]] = []   # byte tables per level
-_NP_LEVEL_TABS: List[list] = []     # numpy copies, converted lazily
-
-
-def _tables_from_cols(cols: List[int]) -> List[List[int]]:
-    """Expand 64 basis images into eight 256-entry byte-lookup tables."""
-    tabs = []
-    for byte in range(8):
-        base = byte * 8
-        table = [0] * 256
-        for value in range(1, 256):
-            low = value & -value
-            table[value] = (table[value ^ low]
-                            ^ cols[base + low.bit_length() - 1])
-        tabs.append(table)
-    return tabs
-
-
-def _apply_tables(tabs: List[List[int]], state: int) -> int:
-    return (tabs[0][state & 255]
-            ^ tabs[1][(state >> 8) & 255]
-            ^ tabs[2][(state >> 16) & 255]
-            ^ tabs[3][(state >> 24) & 255]
-            ^ tabs[4][(state >> 32) & 255]
-            ^ tabs[5][(state >> 40) & 255]
-            ^ tabs[6][(state >> 48) & 255]
-            ^ tabs[7][(state >> 56) & 255])
-
-
-def _ensure_level(k: int) -> None:
-    while len(_LEVEL_TABS) <= k:
-        if not _LEVEL_TABS:
-            cols = [xorshift_step(1 << bit) for bit in range(64)]
-        else:
-            tabs = _LEVEL_TABS[-1]
-            cols = [_apply_tables(tabs, col) for col in _LEVEL_COLS[-1]]
-        _LEVEL_COLS.append(cols)
-        _LEVEL_TABS.append(_tables_from_cols(cols))
-
-
-def jump(state: int, n: int) -> int:
-    """``f^n(state)`` for the xorshift map, in O(log n) table applies."""
-    k = 0
-    while n:
-        if n & 1:
-            _ensure_level(k)
-            state = _apply_tables(_LEVEL_TABS[k], state)
-        n >>= 1
-        k += 1
-    return state
-
-
-def _np_level(k: int):
-    _ensure_level(k)
-    while len(_NP_LEVEL_TABS) <= k:
-        tabs = _LEVEL_TABS[len(_NP_LEVEL_TABS)]
-        _NP_LEVEL_TABS.append(
-            [numpy.array(table, dtype=numpy.uint64) for table in tabs])
-    return _NP_LEVEL_TABS[k]
-
-
-def _np_apply(np_tabs, states):
-    """Apply one jump level to a whole uint64 state buffer.
-
-    The byte columns come from a uint8 view of the buffer instead of
-    shift-and-mask passes: one reshape replaces eight shifts and eight
-    masks, leaving just the eight gathers and seven xors.
-    """
-    if not states.flags.c_contiguous:
-        states = numpy.ascontiguousarray(states)
-    cols = states.view(numpy.uint8).reshape(-1, 8)
-    if _BIG_ENDIAN:
-        cols = cols[:, ::-1]
-    out = np_tabs[0][cols[:, 0]]
-    for byte in range(1, 8):
-        out ^= np_tabs[byte][cols[:, byte]]
-    return out
-
-
-# -- the vectorized jitter stream -------------------------------------------
-
-
-class JitterStream:
-    """Buffered lookahead over the machine's global jitter stream.
-
-    The machine's ``_jitter_state`` stays the canonical stream position:
-    every scalar consumer (``Machine.access_tuple``) keeps drawing from
-    it directly. The stream buffers *future* states/draws from an anchor
-    state and tracks how many it has handed out (``pos``); before each
-    batched span the engine calls :meth:`sync` to realign with whatever
-    the scalar paths consumed in between, then :meth:`take_span` to
-    consume the next ``k`` draws in one step, then flushes
-    ``state_at()`` back into the machine.
-    """
-
-    __slots__ = ("mod", "anchor", "pos", "_size",
-                 "_states", "_draws", "_nstates", "_nprefix")
-
-    def __init__(self, jitter: int, anchor: int):
-        self.mod = jitter + 1
-        self.rebase(anchor)
-
-    def rebase(self, anchor: int) -> None:
-        """Restart the buffer from ``anchor`` (current machine state)."""
-        self.anchor = anchor
-        self.pos = 0
-        self._size = 0
-        self._states: Optional[List[int]] = None if HAVE_NUMPY else []
-        self._draws: Optional[List[int]] = None if HAVE_NUMPY else []
-        self._nstates = None
-        self._nprefix = None
-
-    def state_at(self) -> int:
-        """Stream state after the draws consumed so far."""
-        pos = self.pos
-        if pos == 0:
-            return self.anchor
-        if HAVE_NUMPY:
-            return int(self._nstates[pos - 1])
-        return self._states[pos - 1]
-
-    def sync(self, machine_state: int) -> None:
-        """Realign with the machine's canonical stream position.
-
-        Scalar escapes (slow-path accesses, fused tails) consume draws
-        directly from the machine; afterwards the machine's state sits
-        somewhere in (or past) our buffered lookahead. Search the
-        buffered tail for it — a hit just advances ``pos``; a miss means
-        the scalar paths ran past the buffer, so restart from the
-        machine's state.
-        """
-        if machine_state == self.state_at():
-            return
-        pos = self.pos
-        if HAVE_NUMPY:
-            if self._nstates is not None and pos < self._size:
-                states = self._nstates
-                # Scalar escapes usually consume a handful of draws, so
-                # probe a short window ahead before paying for a
-                # full-tail vectorized search (which allocates a
-                # buffer-sized temporary per call).
-                near_end = min(pos + 16, self._size)
-                for i in range(pos, near_end):
-                    if int(states[i]) == machine_state:
-                        self.pos = i + 1
-                        return
-                if near_end < self._size:
-                    tail = states[near_end:self._size]
-                    hits = numpy.flatnonzero(
-                        tail == numpy.uint64(machine_state))
-                    if hits.size:
-                        self.pos = near_end + int(hits[0]) + 1
-                        return
-        else:
-            try:
-                found = self._states.index(machine_state, pos, self._size)
-            except ValueError:
-                pass
-            else:
-                self.pos = found + 1
-                return
-        self.rebase(machine_state)
-
-    def take_span(self, n: int) -> int:
-        """Consume the next ``n`` draws; return their sum.
-
-        The caller must flush :meth:`state_at` back into the machine so
-        scalar consumers continue from the right position.
-        """
-        total = 0
-        while n:
-            pos = self.pos
-            if pos >= _COMPACT_AT:
-                # Bound the buffer: drop the consumed prefix and restart
-                # from the current position.
-                self.rebase(self.state_at())
-                pos = 0
-            if self._size - pos < n + _SLACK:
-                # Extend past the span by a slack margin: scalar escapes
-                # after it (fused tails, slow-path accesses) consume a
-                # few draws directly from the machine, and sync() can
-                # only catch up within the buffer — running past its end
-                # would force a rebase and a rebuild from scratch.
-                self._extend(pos + min(max(n + _SLACK, 1024), _CHUNK))
-            take = min(n, self._size - pos)
-            total += self._span_sum(pos, take)
-            self.pos = pos + take
-            n -= take
-        return total
-
-    # -- internals --------------------------------------------------------
-
-    def _span_sum(self, pos: int, k: int) -> int:
-        if HAVE_NUMPY:
-            prefix = self._nprefix
-            return int(prefix[pos + k] - prefix[pos])
-        return sum(self._draws[pos:pos + k])
-
-    def _extend(self, need: int) -> None:
-        """Grow the buffer to hold at least ``need`` draws from the anchor."""
-        if need <= self._size:
-            return
-        if HAVE_NUMPY:
-            states = self._nstates
-            if states is None:
-                states = numpy.array([xorshift_step(self.anchor)],
-                                     dtype=numpy.uint64)
-            size = len(states)
-            old = self._size
-            # Prefix-doubling: the buffer holds f^1..f^size(anchor); one
-            # jump-level apply appends f^(size+1)..f^(2*size) in order.
-            # Sizes stay powers of two, so the level index is log2(size)
-            # and almost all work happens on large arrays.
-            while size < need:
-                states = numpy.concatenate(
-                    (states, _np_apply(_np_level(size.bit_length() - 1),
-                                       states)))
-                size *= 2
-            self._nstates = states
-            # Extend the running prefix incrementally: cumsum only the
-            # appended draws, offset by the previous running total.
-            prefix = numpy.empty(size + 1, dtype=numpy.uint64)
-            if old and self._nprefix is not None:
-                prefix[:old + 1] = self._nprefix[:old + 1]
-            else:
-                old = 0
-                prefix[0] = 0
-            numpy.cumsum(states[old:] % numpy.uint64(self.mod),
-                         out=prefix[old + 1:])
-            if old:
-                prefix[old + 1:] += prefix[old]
-            self._nprefix = prefix
-            self._size = size
-            return
-        states = self._states
-        state = states[-1] if states else self.anchor
-        grow = max(need - self._size, 256)
-        fresh = []
-        append = fresh.append
-        mask = _MASK
-        for _ in range(grow):
-            state ^= (state << 13) & mask
-            state ^= state >> 7
-            state ^= (state << 17) & mask
-            append(state)
-        states.extend(fresh)
-        mod = self.mod
-        self._draws.extend([value % mod for value in fresh])
-        self._size = len(states)
-
-
-# -- the batch planner -------------------------------------------------------
-
-
-def plan_span(machine, core: int, base: int, stride: int, count: int,
-              index: int, left_total: int, is_write: bool,
-              probe_cap: int = PLAN_PROBE_CAP) -> int:
-    """Iterations from the burst's current position that are provably
-    private HITs for ``core``.
-
-    Walks the cache lines the upcoming iterations touch, in iteration
-    order, asking :meth:`Machine.line_is_private` per line — one probe
-    per line, amortized over every access that lands on it. Stops at the
-    first line that is absent or not privately held (the engine escapes
-    to the scalar slow path there: first touch or coherence transition).
-    If a whole sweep's line set verifies, every remaining repeat revisits
-    exactly the same lines, so the rest of the burst is covered.
-
-    A write iteration requires exclusive-modified ownership, which
-    subsumes the read predicate, so read+write bursts plan on the write
-    predicate alone.
-    """
-    lines_get = machine._dirlines.get
-    private = machine.line_is_private
-    line_shift = machine._line_shift
-    if stride == 0 or count == 1:
-        state = lines_get(base >> line_shift)
-        if state is not None and private(core, state, is_write):
-            return left_total
-        return 0
-    per_line = 0 < stride <= (1 << line_shift)
-    covered = 0
-    i = index
-    probes = 0
-    while covered < left_total and probes < probe_cap:
-        addr = base + i * stride
-        line = addr >> line_shift
-        state = lines_get(line)
-        if state is None or not private(core, state, is_write):
-            return covered
-        probes += 1
-        if per_line:
-            # First iteration index past this line (ceil division).
-            nxt = (((line + 1) << line_shift) - base + stride - 1) // stride
-            if nxt > count:
-                nxt = count
-        else:
-            nxt = i + 1
-        covered += nxt - i
-        i = nxt
-        if i >= count:
-            i = 0
-            if covered >= count:
-                # Full sweep verified; later repeats revisit the same lines.
-                return left_total
-    if covered > left_total:
-        covered = left_total
-    return covered
+def plan_span(*args, **kwargs):
+    """Never called: the engine has no batch planner. perfbench's traced
+    mode is the only reader (it wraps this name); it goes with the
+    benchmark change that drops the ``sim.kernel.*`` rows."""
+    raise NotImplementedError("the engine has no batch planner")

@@ -276,16 +276,12 @@ class Machine:
         return 0
 
     def line_is_private(self, core: int, state, is_write: bool) -> bool:
-        """Batch-planner predicate (see :mod:`repro.sim.kernel`): may
-        ``core`` keep hitting ``state``'s line without a transition?
+        """May ``core`` keep hitting ``state``'s line without a transition?
 
-        Must match the fast-path predicate in :meth:`access_tuple`
-        exactly: a write is private only under exclusive-modified
-        ownership (which subsumes the read predicate); a read is private
-        whenever the core holds a valid copy. The vector kernel plans
-        whole spans on this answer, so a corrupted override is exactly
-        what the mutation self-test injects to prove the sanitizer net
-        catches planner bugs.
+        The fast-path predicate of :meth:`access_tuple`, spelled out.
+        perfbench's traced mode is the only reader (it counts calls);
+        the method goes with the benchmark change that drops the
+        ``sim.kernel.*`` rows.
         """
         if is_write:
             return state.dirty_owner == core

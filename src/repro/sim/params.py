@@ -87,20 +87,19 @@ class MachineConfig(ConfigBase):
             (pthread_create analogue).
         join_cost: cycles charged to a parent thread per join.
         alloc_cost: cycles charged for a malloc/free call.
-        kernel: burst-execution kernel selection — ``"fused"`` (the
-            scalar per-access loop), ``"vector"`` (the array-batched
-            kernel in :mod:`repro.sim.kernel`), or ``"auto"`` (vector
-            whenever no observer/sanitizer/obs hook needs to see every
-            access, fused otherwise). All selections are bit-identical;
-            this is purely a performance knob.
+        kernel: accepted and validated (``"fused"``, ``"vector"`` or
+            ``"auto"``) so existing configs, content keys and stored
+            results stay valid, but it selects nothing: the engine has
+            one fast burst loop, and every simulate run records
+            ``metadata["kernel"] == "fused"``.
         mode: execution mode — ``"simulate"`` (the default: run every
             access through the coherence machine), ``"predict"``
             (profile a short simulated prefix, then predict
             invalidations/findings/runtime analytically in O(lines) —
             see :mod:`repro.predict`), or ``"sampled"`` (fully simulate
             a few representative bursts and extrapolate with confidence
-            intervals). Unlike ``kernel``, the non-default modes produce
-            *estimates*, tagged ``predicted=true`` in the run metadata.
+            intervals). The non-default modes produce *estimates*,
+            tagged ``predicted=true`` in the run metadata.
         numa_nodes: number of NUMA nodes cores are striped across
             (``node_of(core) = core % numa_nodes``). The default 1
             models the paper's single-node view; with >1, the

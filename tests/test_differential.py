@@ -58,10 +58,6 @@ class TestRunSpec:
             assert cycle in spec["checkpoints"]
             assert now >= cycle
 
-    def test_vector_kernel_fingerprint_matches_fused(self):
-        spec = CORPUS[0]
-        assert run_spec(spec, kernel="vector") == run_spec(spec)
-
     def test_different_seeds_differ(self):
         # Not logically required, but if every program fingerprints the
         # same thing the differential harness is vacuous.

@@ -5,8 +5,10 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.pmu.sampler import PMU, PMUConfig
+from repro.runtime.thread import _BurstState
 from repro.sim.engine import Engine, Observer
 from repro.sim.machine import Machine
+from repro.sim.ops import LoopAccess
 from repro.sim.params import MachineConfig
 
 
@@ -187,6 +189,35 @@ class TestRunResult:
         assert result.thread_runtime(1) == result.threads[1].runtime
         assert result.total_accesses == 10
         assert result.total_instructions >= 10
-        # The run records which burst kernel executed it.
-        assert result.metadata["kernel"] in ("fused", "vector")
-        assert isinstance(result.metadata["kernel_numpy"], bool)
+        # Every simulate run records the one fast burst loop.
+        assert result.metadata == {"kernel": "fused"}
+
+
+class TestBurstStateInvariants:
+    def test_positive_extents_accepted(self):
+        state = _BurstState(LoopAccess(0x100, 8, 4, repeat=2))
+        assert state.count == 4 and state.repeat_total == 2
+
+    @pytest.mark.parametrize("count,repeat", [(0, 5), (5, 0), (0, 0)])
+    def test_zero_extents_rejected(self, count, repeat):
+        op = LoopAccess(0x100, 8, 1, repeat=1)
+        op.count = count
+        op.repeat = repeat
+        with pytest.raises(SimulationError, match="positive extents"):
+            _BurstState(op)
+
+    def test_negative_extents_rejected(self):
+        op = LoopAccess(0x100, 8, 1, repeat=1)
+        op.count = -3
+        with pytest.raises(SimulationError, match="positive extents"):
+            _BurstState(op)
+
+    def test_zero_trip_loops_stay_noops(self):
+        # The engine filters zero-trip loops before building burst
+        # state, so programs using them still run (and do nothing).
+        def program(api):
+            buf = yield from api.malloc(64)
+            yield from api.loop(buf, 8, 0, repeat=5)
+            yield from api.loop(buf, 8, 5, repeat=0)
+        result = Engine().run(program)
+        assert result.total_accesses == 0

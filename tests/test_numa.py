@@ -80,16 +80,6 @@ class TestMachineBehaviour:
                            machine_config=config, check=True)
         assert out.runtime > 0
 
-    def test_vector_kernel_parity_under_numa(self):
-        cls = get_workload("numa_ping_pong")
-        fused = run_workload(
-            cls(scale=0.3), jitter_seed=1,
-            machine_config=MachineConfig(kernel="fused", **NUMA))
-        vector = run_workload(
-            cls(scale=0.3), jitter_seed=1,
-            machine_config=MachineConfig(kernel="vector", **NUMA))
-        assert fused.runtime == vector.runtime
-
 
 class TestRequestPlumbing:
     def test_numa_knobs_reach_machine_config(self):

@@ -18,6 +18,8 @@ class TestValidation:
     def test_bad_kernel(self):
         with pytest.raises(ConfigError, match="kernel"):
             RunRequest(workload="histogram", kernel="turbo")
+        with pytest.raises(ConfigError, match="kernel"):
+            MachineConfig(kernel="turbo")
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError, match="mode"):
@@ -156,3 +158,39 @@ class TestDictRoundTrip:
         with pytest.raises(ConfigError):
             RunRequest.from_dict({"workload": "histogram",
                                   "machine": {"num_cores": -1}})
+
+
+class TestKernelKnobCompat:
+    """``kernel`` stays on the frozen v2 API but selects nothing."""
+
+    @staticmethod
+    def fingerprint(outcome):
+        result = outcome.result
+        return (result.runtime, result.steps, outcome.invalidations,
+                result.machine.total_cycles,
+                {tid: (t.clock, t.instructions, t.mem_accesses, t.mem_cycles)
+                 for tid, t in result.threads.items()})
+
+    def test_every_kernel_runs_the_fused_loop(self):
+        from repro.run import run_workload
+        from repro.workloads import get_workload
+
+        prints = set()
+        for kernel in ("fused", "vector", "auto"):
+            direct = run_workload(
+                get_workload("histogram")(num_threads=2, scale=0.05),
+                machine_config=MachineConfig(kernel=kernel))
+            requested = RunRequest(workload="histogram", threads=2,
+                                   scale=0.05, kernel=kernel).execute()
+            for outcome in (direct, requested):
+                assert outcome.result.metadata["kernel"] == "fused"
+                assert "kernel_numpy" not in outcome.result.metadata
+                prints.add(repr(self.fingerprint(outcome)))
+        assert len(prints) == 1
+
+    def test_kernel_stays_in_the_content_key(self):
+        assert MachineConfig().to_dict()["kernel"] == "auto"
+        assert RunRequest(workload="histogram",
+                          kernel="vector").to_dict()["kernel"] == "vector"
+        assert RunSpec(workload="histogram").key() == (
+            "c28f9032716e3245040c314d1fe4f6ea32924125555a11a41b0d0d5d067d998a")

@@ -11,8 +11,6 @@ Two checks, both against each workload's declared ``ground_truth``:
    saves it (gzipped), loads it back, and replays it through the
    machine + detector; the replay verdict must equal the live run's.
 
-Run with and without ``REPRO_NO_NUMPY=1`` in CI.
-
 Usage: PYTHONPATH=src python tools/detection_smoke.py
 """
 

@@ -1,6 +1,6 @@
 """Dump a deterministic fingerprint of simulation outputs.
 
-Used to verify that kernel optimisations leave every deterministic
+Used to verify that hot-path optimisations leave every deterministic
 output bit-identical: run it before and after a change and diff the
 JSON. Not a test — the golden determinism test in
 ``tests/test_determinism.py`` covers the same property in CI.

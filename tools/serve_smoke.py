@@ -5,7 +5,7 @@ Starts ``python -m repro serve`` on an ephemeral port as a subprocess,
 submits a windowed-detector job over HTTP, polls it to completion,
 asserts at least one NDJSON finding event and a non-empty ``/metrics``
 exposition, then delivers SIGINT and checks the daemon drains and exits
-0. Run with and without ``REPRO_NO_NUMPY=1`` in CI.
+0.
 
 Usage: PYTHONPATH=src python tools/serve_smoke.py
 """

@@ -12,15 +12,10 @@ same machine/seed, then asserts the streaming contract:
 - on every workload the reference table documents as a true positive,
   at least one incremental finding emitted strictly before run end.
 
-It prints one deterministic fingerprint line per workload, so CI can
-additionally diff the output of a numpy-accelerated run against a
-``REPRO_NO_NUMPY=1`` pure-python run.
+It prints one deterministic fingerprint line per workload and exits
+non-zero on any violation.
 
-Usage::
-
-    PYTHONPATH=src python tools/streaming_parity.py > with-numpy.txt
-    REPRO_NO_NUMPY=1 PYTHONPATH=src python tools/streaming_parity.py > pure.txt
-    diff with-numpy.txt pure.txt
+Usage: PYTHONPATH=src python tools/streaming_parity.py
 """
 
 import sys
