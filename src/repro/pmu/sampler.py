@@ -29,6 +29,7 @@ from repro.config import ConfigBase
 from repro.errors import ConfigError, SimulationError
 from repro.pmu.adaptive import AdaptiveConfig, AdaptiveController
 from repro.pmu.sample import MemorySample
+from repro.sim.params import check_cycles
 
 SampleHandler = Callable[[MemorySample], None]
 
@@ -67,8 +68,8 @@ class PMUConfig(ConfigBase):
             raise ConfigError(f"sampling period must be >= 1, got {self.period}")
         if not 0.0 <= self.jitter < 1.0:
             raise ConfigError(f"jitter must be in [0, 1), got {self.jitter}")
-        if min(self.handler_cost, self.trap_cost, self.thread_setup_cost) < 0:
-            raise ConfigError("PMU costs must be non-negative")
+        for name in ("handler_cost", "trap_cost", "thread_setup_cost"):
+            check_cycles(name, getattr(self, name))
 
 
 class PMU:

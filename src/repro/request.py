@@ -40,7 +40,7 @@ from repro.core.profiler import CheetahConfig
 from repro.errors import ConfigError
 from repro.pmu.adaptive import AdaptiveConfig
 from repro.pmu.sampler import PMUConfig
-from repro.sim.params import MachineConfig
+from repro.sim.params import MachineConfig, check_cycles
 
 _KERNELS = ("fused", "vector", "auto")
 _MODES = ("simulate", "predict", "sampled")
@@ -131,8 +131,8 @@ class RunRequest(ConfigBase):
                 f"numa_nodes must be >= 1, got {self.numa_nodes}")
         for name in ("remote_fetch_penalty", "remote_transfer_penalty"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
+            if value is not None:
+                check_cycles(name, value)
 
     # -- derived state -------------------------------------------------------
 

@@ -43,6 +43,11 @@ _CALLSITE_DEPTH = 5  # the paper collects five call-stack entries
 # Simulation steps between opportunistic sweeps of the machine's coherence
 # pin table (Machine.prune_pins); bounds an otherwise unbounded dict.
 _PIN_PRUNE_INTERVAL = 8192
+# Ready-heap entries are packed ints ``(clock << _TID_BITS) | tid``: they
+# pop in the same order as ``(clock, tid)`` tuples but compare as plain
+# ints. Clocks are non-negative ints (time-valued inputs are validated).
+_TID_BITS = 20
+_TID_MASK = (1 << _TID_BITS) - 1
 
 
 class Observer:
@@ -150,6 +155,13 @@ class Engine:
         self._checkpoints: List[tuple] = []
         # key -> threads currently waiting at that barrier.
         self._barriers: Dict[Any, List[SimThread]] = {}
+        # The scheduler's ready heap (packed keys, see _TID_BITS) and the
+        # threads woken during the current quantum: run() owns both, and
+        # _run_burst reads them to run the next quanta in place. It
+        # leaves the thread it stopped on in ``_switched_to`` when it did.
+        self._ready: List[int] = []
+        self._woken: List[SimThread] = []
+        self._switched_to: Optional[SimThread] = None
 
     def add_checkpoint(self, cycle: int,
                        callback: Callable[["Engine", int], None]) -> None:
@@ -170,7 +182,9 @@ class Engine:
 
         main = self._create_thread(main_fn, args, parent=None, start_clock=0,
                                    name="main")
-        ready: List[tuple] = [(main.clock, main.tid)]
+        ready = self._ready
+        ready.append(main.clock << _TID_BITS | main.tid)
+        woken = self._woken
         threads = self.threads
 
         # The scheduling loop runs once per quantum — for tightly
@@ -198,15 +212,15 @@ class Engine:
             run_burst = self._run_burst
         else:
             run_burst = self._run_burst_observed
-        woken: List[SimThread] = []
 
         while ready:
-            clock, tid = heappop(ready)
-            thread = threads[tid]
+            key = heappop(ready)
+            clock = key >> _TID_BITS
+            thread = threads[key & _TID_MASK]
             if thread.state is not runnable:
                 continue
             if thread.clock != clock:
-                heappush(ready, (thread.clock, tid))
+                heappush(ready, thread.clock << _TID_BITS | thread.tid)
                 continue
             while checkpoints and clock >= checkpoints[0][0]:
                 _, callback = checkpoints.pop(0)
@@ -218,7 +232,7 @@ class Engine:
                 # pin table on long runs over many contended lines).
                 machine.prune_pins(clock)
                 self._next_pin_prune = self._steps + _PIN_PRUNE_INTERVAL
-            limit = ready[0][0] if ready else _INFINITY
+            limit = ready[0] >> _TID_BITS if ready else _INFINITY
             # A pending checkpoint also bounds the quantum: with a single
             # runnable thread ``ready`` is empty and an unbounded quantum
             # would sail past every registered checkpoint (the callbacks
@@ -236,16 +250,26 @@ class Engine:
                         "likely an unbounded workload loop"
                     )
                 if thread.burst is not None:
-                    if not run_burst(thread, limit):
+                    done = run_burst(thread, limit)
+                    if self._switched_to is not None:
+                        # The fused loop ran the next quanta in place;
+                        # carry on with the thread it stopped on. It only
+                        # switches with no checkpoint pending and obs off,
+                        # so ``limit`` is ready[0]'s clock and ``clock``
+                        # is not read again.
+                        thread = self._switched_to
+                        self._switched_to = None
+                        limit = ready[0] >> _TID_BITS
+                    if not done:
                         break  # burst paused at limit; stays runnable
                     thread.pending_value = None
                 if not resume(thread, woken):
                     break
             if thread.state is runnable:
-                heappush(ready, (thread.clock, tid))
+                heappush(ready, thread.clock << _TID_BITS | thread.tid)
             if woken:
                 for other in woken:
-                    heappush(ready, (other.clock, other.tid))
+                    heappush(ready, other.clock << _TID_BITS | other.tid)
                 woken.clear()
             if sanitizer is not None:
                 sanitizer.note_quantum(thread)
@@ -291,6 +315,9 @@ class Engine:
                        parent: Optional[SimThread], start_clock: int,
                        name: Optional[str] = None) -> SimThread:
         tid = next(self._tid_counter)
+        if tid > _TID_MASK:
+            raise SimulationError(
+                f"too many threads: ready-heap keys hold {_TID_BITS}-bit tids")
         core = tid % self.config.num_cores
         generator = fn(self.api, *args)
         if not hasattr(generator, "send"):
@@ -484,11 +511,15 @@ class Engine:
                 thread.clock += extra
 
     def _run_burst(self, thread: SimThread, limit: float) -> bool:
-        """Execute burst iterations until the clock passes ``limit``.
+        """Execute burst iterations until the clock passes ``limit``,
+        then carry on with the scheduler's next pick while that is
+        another mid-burst thread.
 
-        Returns True when the burst completed (the generator should be
-        resumed), False when it paused because the thread overran its
-        scheduling quantum.
+        Returns True when the burst of the thread the loop stopped on
+        completed (the generator should be resumed), False when it
+        paused because that thread overran its scheduling quantum. If
+        the loop switched threads, it leaves the one it stopped on in
+        ``self._switched_to``.
 
         This is the simulator's innermost loop, selected by :meth:`run`
         when nothing needs to see every access: the machine's
@@ -498,6 +529,15 @@ class Engine:
         call. The fused loop consumes the jitter stream and the PMU
         countdown in exactly the same order as the general path, so all
         outputs stay bit-identical.
+
+        When a quantum expires mid-burst, the loop does what the
+        scheduler would do next, in the same frame: push the thread
+        back, pop the next one, count the step and run its burst. It
+        does so only when the scheduler would do nothing else first:
+        the next entry is current and mid-burst, no thread was woken
+        this quantum, no checkpoint is pending, no pin prune or
+        ``max_steps`` check is due and no obs quantum hook is wired.
+        Otherwise it returns, and :meth:`run` takes over as before.
         """
         burst = thread.burst
         assert burst is not None
@@ -509,142 +549,186 @@ class Engine:
         jstate = machine._jitter_state
         m_accesses = 0  # machine counter deltas, flushed with the locals
         m_cycles = 0
-
-        # Thread state.
-        clock = thread.clock
-        instructions = thread.instructions
-        mem_accesses = thread.mem_accesses
-        mem_cycles = thread.mem_cycles
-        steps = 0
-        core = thread.core
-        tid = thread.tid
+        steps = 0  # engine step delta, flushed with the locals
+        # Step delta at which a pin prune or the max_steps check is due;
+        # None until the first quantum expires (many bursts end first).
+        switch_steps = None
 
         # PMU countdown (the 127-of-128 non-sampled accesses do only the
         # decrement here; fires go through the PMU's real entry points).
         if pmu is not None:
             countdown = pmu._countdown
-            cd = countdown[tid]
-
-        # Burst progress (op constants are pre-copied into burst slots).
-        index = burst.index
-        repeat = burst.repeat
-        count = burst.count
-        repeats_total = burst.repeat_total
-        base = burst.base
-        stride = burst.stride
-        work = burst.work
-        do_read = burst.read
-        do_write = burst.write
 
         completed = False
         try:
-            while clock <= limit:
-                if index >= count:
-                    index = 0
-                    repeat += 1
-                if repeat >= repeats_total:
+            while True:
+                # Thread state.
+                clock = thread.clock
+                instructions = thread.instructions
+                mem_accesses = thread.mem_accesses
+                mem_cycles = thread.mem_cycles
+                core = thread.core
+                tid = thread.tid
+                if pmu is not None:
+                    cd = countdown[tid]
+
+                # Burst progress (op constants are pre-copied into burst
+                # slots).
+                index = burst.index
+                repeat = burst.repeat
+                count = burst.count
+                repeats_total = burst.repeat_total
+                base = burst.base
+                stride = burst.stride
+                work = burst.work
+                do_read = burst.read
+                do_write = burst.write
+
+                while clock <= limit:
+                    if index >= count:
+                        index = 0
+                        repeat += 1
+                    if repeat >= repeats_total:
+                        completed = True
+                        return True
+                    addr = base + index * stride
+                    steps += 1
+                    line = addr >> line_shift
+                    # One probe covers both the read and the write of
+                    # this iteration: LineState objects are mutated in
+                    # place, never replaced (only a first-touch slow path
+                    # below can create one, after which we re-probe). The
+                    # read and write bodies are spelled out separately so
+                    # each tests its own constant-folded HIT predicate.
+                    state = lines_get(line)
+                    if do_read:
+                        if state is not None and core in state.holders:
+                            latency = hit_cost
+                            if jitter:
+                                jstate ^= (jstate << 13) & 0xFFFFFFFFFFFFFFFF
+                                jstate ^= jstate >> 7
+                                jstate ^= (jstate << 17) & 0xFFFFFFFFFFFFFFFF
+                                latency += jstate % (jitter + 1)
+                            m_accesses += 1
+                            m_cycles += latency
+                        else:
+                            # Slow path: flush machine state, take the
+                            # full MESI/prefetch/pin path, re-load the
+                            # jitter.
+                            machine._jitter_state = jstate
+                            machine.total_accesses += m_accesses
+                            machine.total_cycles += m_cycles
+                            m_accesses = m_cycles = 0
+                            latency, _, _ = machine.access_tuple(
+                                core, addr, False, clock)
+                            jstate = machine._jitter_state
+                            if state is None:
+                                state = lines_get(line)
+                        clock += latency
+                        instructions += 1
+                        mem_accesses += 1
+                        mem_cycles += latency
+                        if pmu is not None:
+                            if cd > 1:
+                                cd -= 1
+                            else:
+                                countdown[tid] = cd
+                                extra = pmu.on_access(
+                                    tid, core, addr, False, latency,
+                                    self.config.word_size, clock)
+                                if extra:
+                                    clock += extra
+                                cd = countdown[tid]
+                    if do_write:
+                        if state is not None and state.dirty_owner == core:
+                            latency = hit_cost
+                            if jitter:
+                                jstate ^= (jstate << 13) & 0xFFFFFFFFFFFFFFFF
+                                jstate ^= jstate >> 7
+                                jstate ^= (jstate << 17) & 0xFFFFFFFFFFFFFFFF
+                                latency += jstate % (jitter + 1)
+                            m_accesses += 1
+                            m_cycles += latency
+                        else:
+                            machine._jitter_state = jstate
+                            machine.total_accesses += m_accesses
+                            machine.total_cycles += m_cycles
+                            m_accesses = m_cycles = 0
+                            latency, _, _ = machine.access_tuple(
+                                core, addr, True, clock)
+                            jstate = machine._jitter_state
+                            if state is None:
+                                state = lines_get(line)
+                        clock += latency
+                        instructions += 1
+                        mem_accesses += 1
+                        mem_cycles += latency
+                        if pmu is not None:
+                            if cd > 1:
+                                cd -= 1
+                            else:
+                                countdown[tid] = cd
+                                extra = pmu.on_access(
+                                    tid, core, addr, True, latency,
+                                    self.config.word_size, clock)
+                                if extra:
+                                    clock += extra
+                                cd = countdown[tid]
+                    if work:
+                        clock += work
+                        instructions += work
+                        if pmu is not None:
+                            if cd > work:
+                                cd -= work
+                            else:
+                                countdown[tid] = cd
+                                extra = pmu.on_work(tid, work, clock)
+                                if extra:
+                                    clock += extra
+                                cd = countdown[tid]
+                    index += 1
+                # Completed exactly at the boundary?
+                if index >= count and repeat + 1 >= repeats_total:
                     completed = True
                     return True
-                addr = base + index * stride
-                steps += 1
-                line = addr >> line_shift
-                # One probe covers both the read and the write of this
-                # iteration: LineState objects are mutated in place,
-                # never replaced (only a first-touch slow path below can
-                # create one, after which we re-probe). The read and
-                # write bodies are spelled out separately so each tests
-                # its own constant-folded HIT predicate.
-                state = lines_get(line)
-                if do_read:
-                    if state is not None and core in state.holders:
-                        latency = hit_cost
-                        if jitter:
-                            jstate ^= (jstate << 13) & 0xFFFFFFFFFFFFFFFF
-                            jstate ^= jstate >> 7
-                            jstate ^= (jstate << 17) & 0xFFFFFFFFFFFFFFFF
-                            latency += jstate % (jitter + 1)
-                        m_accesses += 1
-                        m_cycles += latency
-                    else:
-                        # Slow path: flush machine state, take the full
-                        # MESI/prefetch/pin path, re-load the jitter.
-                        machine._jitter_state = jstate
-                        machine.total_accesses += m_accesses
-                        machine.total_cycles += m_cycles
-                        m_accesses = m_cycles = 0
-                        latency, _, _ = machine.access_tuple(
-                            core, addr, False, clock)
-                        jstate = machine._jitter_state
-                        if state is None:
-                            state = lines_get(line)
-                    clock += latency
-                    instructions += 1
-                    mem_accesses += 1
-                    mem_cycles += latency
-                    if pmu is not None:
-                        if cd > 1:
-                            cd -= 1
-                        else:
-                            countdown[tid] = cd
-                            extra = pmu.on_access(
-                                tid, core, addr, False, latency,
-                                self.config.word_size, clock)
-                            if extra:
-                                clock += extra
-                            cd = countdown[tid]
-                if do_write:
-                    if state is not None and state.dirty_owner == core:
-                        latency = hit_cost
-                        if jitter:
-                            jstate ^= (jstate << 13) & 0xFFFFFFFFFFFFFFFF
-                            jstate ^= jstate >> 7
-                            jstate ^= (jstate << 17) & 0xFFFFFFFFFFFFFFFF
-                            latency += jstate % (jitter + 1)
-                        m_accesses += 1
-                        m_cycles += latency
-                    else:
-                        machine._jitter_state = jstate
-                        machine.total_accesses += m_accesses
-                        machine.total_cycles += m_cycles
-                        m_accesses = m_cycles = 0
-                        latency, _, _ = machine.access_tuple(
-                            core, addr, True, clock)
-                        jstate = machine._jitter_state
-                        if state is None:
-                            state = lines_get(line)
-                    clock += latency
-                    instructions += 1
-                    mem_accesses += 1
-                    mem_cycles += latency
-                    if pmu is not None:
-                        if cd > 1:
-                            cd -= 1
-                        else:
-                            countdown[tid] = cd
-                            extra = pmu.on_access(
-                                tid, core, addr, True, latency,
-                                self.config.word_size, clock)
-                            if extra:
-                                clock += extra
-                            cd = countdown[tid]
-                if work:
-                    clock += work
-                    instructions += work
-                    if pmu is not None:
-                        if cd > work:
-                            cd -= work
-                        else:
-                            countdown[tid] = cd
-                            extra = pmu.on_work(tid, work, clock)
-                            if extra:
-                                clock += extra
-                            cd = countdown[tid]
-                index += 1
-            # Completed exactly at the boundary?
-            if index >= count and repeat + 1 >= repeats_total:
-                completed = True
-                return True
-            return False
+
+                # The quantum expired mid-burst. ``limit`` is ready[0]'s
+                # clock (no checkpoint bounds it while switching), so the
+                # scheduler would push this thread and pop ready[0]; as
+                # ``clock`` is past ``limit``, heapreplace does the same.
+                if switch_steps is None:
+                    if (self._woken or self._checkpoints
+                            or self.obs is not None):
+                        return False
+                    ready = self._ready
+                    threads = self.threads
+                    heapreplace = heapq.heapreplace
+                    runnable = ThreadState.RUNNABLE
+                    prune_at = self._next_pin_prune
+                    max_steps = self._max_steps
+                    switch_steps = (
+                        (prune_at if prune_at < max_steps else max_steps)
+                        - self._steps)
+                if steps >= switch_steps:
+                    return False
+                key = ready[0]
+                other = threads[key & _TID_MASK]
+                if (other.clock != key >> _TID_BITS or other.burst is None
+                        or other.state is not runnable):
+                    return False
+                thread.clock = clock
+                thread.instructions = instructions
+                thread.mem_accesses = mem_accesses
+                thread.mem_cycles = mem_cycles
+                burst.index = index
+                burst.repeat = repeat
+                if pmu is not None:
+                    countdown[tid] = cd
+                heapreplace(ready, clock << _TID_BITS | tid)
+                steps += 1  # the scheduler's step for the new quantum
+                limit = ready[0] >> _TID_BITS
+                self._switched_to = thread = other
+                burst = other.burst
         finally:
             # ``steps == 0`` means the first check completed the burst:
             # nothing below the burst fields changed, so skip the flush.

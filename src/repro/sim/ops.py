@@ -49,6 +49,9 @@ class Work(Op):
     __slots__ = ("cycles",)
 
     def __init__(self, cycles: int):
+        if type(cycles) is not int or cycles < 0:
+            raise ValueError(
+                f"Work cycles must be a non-negative int, got {cycles!r}")
         self.cycles = cycles
 
 
@@ -69,6 +72,9 @@ class LoopAccess(Op):
                  work: int = 0, repeat: int = 1):
         if count < 0 or repeat < 0:
             raise ValueError("count and repeat must be non-negative")
+        if type(work) is not int or work < 0:
+            raise ValueError(
+                f"LoopAccess work must be a non-negative int, got {work!r}")
         self.base = base
         self.stride = stride
         self.count = count

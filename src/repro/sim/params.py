@@ -19,6 +19,20 @@ from repro.config import ConfigBase
 from repro.errors import ConfigError
 
 
+def check_cycles(name: str, value: object, *, positive: bool = False) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an ``int`` cycle
+    count (``bool`` excluded) that is ``>= 0``, or ``> 0`` when
+    ``positive``.
+
+    Every time-valued input is added to some simulated clock. Clocks must
+    stay ints (the engine packs them into its ready-heap keys) and never
+    run backwards (the min-clock discipline depends on it).
+    """
+    if type(value) is not int or value < (1 if positive else 0):
+        kind = "a positive int" if positive else "a non-negative int"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LatencyModel(ConfigBase):
     """Cycle costs per memory-access outcome.
@@ -48,9 +62,12 @@ class LatencyModel(ConfigBase):
     cold: int = 150
     prefetched: int = 5
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        """Raise :class:`ConfigError` if any cost is non-positive or
-        the ordering between costs is physically implausible."""
+        """Raise :class:`ConfigError` if any cost is not a positive int
+        or the ordering between costs is physically implausible."""
         costs = {
             "l1_hit": self.l1_hit,
             "shared_clean": self.shared_clean,
@@ -61,8 +78,7 @@ class LatencyModel(ConfigBase):
             "prefetched": self.prefetched,
         }
         for name, value in costs.items():
-            if value <= 0:
-                raise ConfigError(f"latency {name} must be positive, got {value}")
+            check_cycles(f"latency {name}", value, positive=True)
         if self.l1_hit >= self.shared_clean:
             raise ConfigError("l1_hit latency must be below shared_clean latency")
         if self.shared_clean >= self.coherence_write:
@@ -155,15 +171,9 @@ class MachineConfig(ConfigBase):
             raise ConfigError(
                 f"numa_nodes must be <= num_cores, got {self.numa_nodes} "
                 f"nodes for {self.num_cores} cores")
-        if self.remote_fetch_penalty < 0:
-            raise ConfigError(
-                f"remote_fetch_penalty must be >= 0, "
-                f"got {self.remote_fetch_penalty}")
-        if self.remote_transfer_penalty < 0:
-            raise ConfigError(
-                f"remote_transfer_penalty must be >= 0, "
-                f"got {self.remote_transfer_penalty}")
-        self.latency.validate()
+        for name in ("spawn_cost", "join_cost", "alloc_cost",
+                     "remote_fetch_penalty", "remote_transfer_penalty"):
+            check_cycles(name, getattr(self, name))
         # line_shift is consulted on every simulated access; precompute it
         # once so the hot path reads a plain int instead of re-deriving it
         # (the dataclass is frozen, hence object.__setattr__).

@@ -115,6 +115,15 @@ class TestJobLifecycle:
         assert status == 400
         assert "unknown" in body["error"]
 
+    def test_fractional_machine_cost_400(self, daemon):
+        # Simulated clocks are ints; a fractional cost is refused at
+        # submit time instead of yielding a float runtime.
+        status, body, _ = Client(daemon).request(
+            "/v1/jobs", body={"request": {"workload": "histogram",
+                                          "machine": {"alloc_cost": 0.5}}})
+        assert status == 400
+        assert "alloc_cost" in body["error"]
+
     def test_invalid_workload_fails_job_not_daemon(self, daemon):
         client = Client(daemon)
         _, body, _ = client.submit(RunRequest(workload="no_such_workload"))

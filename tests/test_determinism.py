@@ -1,15 +1,36 @@
 """Golden determinism tests: same workload + seeds twice => identical
-outputs.
+outputs, and identical to the outputs recorded in
+``tests/data/determinism_golden.json``.
 
 The fused burst loop, the private-HIT fast path and the pin-table
 pruning (all perf work) must not perturb a single access: the machine's
 jitter stream is consumed once per access in global order, so *any*
 reordering or skipped bookkeeping shows up here as a changed runtime,
-invalidation count or report.
+invalidation count or report. The golden file pins the outputs across
+commits, not just within one; ``tools/determinism_ref.py`` generates it
+and holds the fingerprint these tests recompute.
 """
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
 
 from repro.run import run_workload
 from repro.workloads.phoenix import Histogram, LinearRegression
+
+_ROOT = Path(__file__).resolve().parents[1]
+_GOLDEN = json.loads(
+    (_ROOT / "tests" / "data" / "determinism_golden.json").read_text())
+
+
+def _determinism_ref():
+    spec = importlib.util.spec_from_file_location(
+        "determinism_ref", _ROOT / "tools" / "determinism_ref.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _native_fingerprint(workload):
@@ -89,3 +110,19 @@ class TestFastPathMatchesGeneralPath:
         b = observed.result.machine.directory
         assert a.total_invalidations() == b.total_invalidations()
         assert native.result.total_accesses == observed.result.total_accesses
+
+
+class TestGoldenFingerprints:
+    """Multi-threaded native and Cheetah runs (their fused burst loops
+    switch threads in place) reproduce the recorded outputs exactly."""
+
+    @pytest.fixture(scope="class")
+    def ref(self):
+        return _determinism_ref()
+
+    def test_golden_covers_every_single_run(self, ref):
+        assert sorted(_GOLDEN) == sorted(ref.RUNS)
+
+    @pytest.mark.parametrize("key", sorted(_GOLDEN))
+    def test_run_matches_golden(self, ref, key):
+        assert ref.fingerprint_run(**ref.RUNS[key]) == _GOLDEN[key]

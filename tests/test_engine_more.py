@@ -1,12 +1,16 @@
 """Additional engine coverage: API helpers, checkpoints, burst-boundary
-behaviour, observer+PMU composition, RunResult accessors."""
+behaviour, the fused loop's in-place thread switch, observer+PMU
+composition, RunResult accessors."""
+
+import itertools
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs import ObsConfig, Observability
 from repro.pmu.sampler import PMU, PMUConfig
 from repro.runtime.thread import _BurstState
-from repro.sim.engine import Engine, Observer
+from repro.sim.engine import _TID_MASK, Engine, Observer
 from repro.sim.machine import Machine
 from repro.sim.ops import LoopAccess
 from repro.sim.params import MachineConfig
@@ -111,6 +115,119 @@ class TestBurstBoundaries:
         result = quiet_engine().run(main)
         assert result.runtime == 7
         assert result.threads[0].mem_accesses == 0
+
+
+def _switch_worker(api, shared, private, index):
+    # False-sharing bursts keep sibling clocks within a few accesses of
+    # each other, so nearly every quantum ends mid-burst with another
+    # mid-burst thread next in line: the fused loop's in-place switch.
+    yield from api.loop(shared + 4 * index, 0, 1, read=True, write=True,
+                        work=1, repeat=1500)
+    yield from api.loop(private, 4, 256, read=True, write=False, work=2)
+    for _ in range(5):
+        yield from api.work(40 * index)
+        # The last arrival wakes the others and bursts on in the same
+        # quantum: the loop must not switch past the threads it woke.
+        yield from api.barrier("phase", 4)
+        yield from api.loop(shared + 4 * index, 0, 1, read=False,
+                            write=True, repeat=300)
+
+
+def _far_ahead(api, line):
+    # Coarse steps keep this thread's clock ahead of the workers, so it
+    # is the mid-burst thread at the top of the heap after a release.
+    yield from api.loop(line, 0, 1, read=True, write=True, work=2000,
+                        repeat=500)
+
+
+def _switch_program(api):
+    shared = yield from api.malloc(64)
+    far = yield from api.malloc(64)
+    tids = [(yield from api.spawn(_far_ahead, far))]
+    for index in range(4):
+        private = yield from api.malloc(1024)
+        tid = yield from api.spawn(_switch_worker, shared, private, index)
+        tids.append(tid)
+    for tid in tids:
+        yield from api.join(tid)
+
+
+def _switch_run(with_pmu, pin_scheduler, obs=None):
+    """Run the switch program; returns its fingerprint and how many
+    times the fused burst loop was entered."""
+    pmu = PMU(PMUConfig(period=16)) if with_pmu else None
+    engine = Engine(machine=Machine(MachineConfig(num_cores=4),
+                                    jitter_seed=7),
+                    pmu=pmu, obs=obs)
+    if pin_scheduler:
+        # A pending checkpoint keeps the fused loop from switching, so
+        # every quantum goes back through Engine.run.
+        engine.add_checkpoint(10**12, lambda e, now: None)
+    fused = engine._run_burst
+    calls = []
+
+    def counted(thread, limit):
+        calls.append(thread.tid)
+        return fused(thread, limit)
+
+    engine._run_burst = counted
+    machine = engine.machine
+    prune = machine.prune_pins
+    prune_floors = []
+
+    def recorded_prune(floor):
+        prune_floors.append(floor)
+        prune(floor)
+
+    machine.prune_pins = recorded_prune
+    result = engine.run(_switch_program)
+    fingerprint = (
+        result.runtime, result.steps, prune_floors,
+        machine.total_accesses, machine.total_cycles,
+        machine.prefetch_hits, machine.stall_cycles, machine.pinned_lines,
+        sorted(machine.directory.lines_with_invalidations().items()),
+        [(t.runtime, t.instructions, t.mem_accesses, t.mem_cycles)
+         for t in result.threads.values()],
+        (pmu.samples_fired, sorted(pmu.overhead_by_tid.items()))
+        if pmu else None,
+    )
+    return fingerprint, len(calls)
+
+
+class TestInPlaceSwitch:
+    @pytest.mark.parametrize("with_pmu", [False, True])
+    def test_switching_run_matches_scheduler_run(self, with_pmu):
+        switched, switched_calls = _switch_run(with_pmu, pin_scheduler=False)
+        pinned, pinned_calls = _switch_run(with_pmu, pin_scheduler=True)
+        assert switched == pinned
+        # Both runs take the same quanta, so every call the switching run
+        # saved is one in-place switch. The program must really exercise
+        # the switch, and cross pin-prune points.
+        assert pinned_calls - switched_calls > 10_000
+        assert len(switched[2]) >= 2
+
+    def test_obs_quantum_hook_sees_every_quantum(self):
+        # Tracer-only obs keeps bursts on the fused loop but needs its
+        # note_quantum hook after each quantum, so the loop never switches.
+        obs = Observability(ObsConfig(metrics=False, trace_coherence=False))
+        traced, traced_calls = _switch_run(False, False, obs=obs)
+        pinned, pinned_calls = _switch_run(False, pin_scheduler=True)
+        assert traced == pinned
+        assert traced_calls == pinned_calls
+
+
+class TestPackedHeapKeys:
+    def test_tid_beyond_key_width_rejected(self):
+        # Heap keys hold the tid in their low _TID_BITS bits; a wider
+        # tid would corrupt the clock order, so creating it fails.
+        def child(api):
+            yield from api.work(1)
+        def main(api):
+            yield from api.spawn(child)
+        engine = quiet_engine()
+        engine._tid_counter = itertools.count(_TID_MASK)  # main's tid
+        with pytest.raises(SimulationError, match="too many threads"):
+            engine.run(main)
 
 
 class TestCheckpoints:

@@ -44,6 +44,21 @@ class TestLoopAccess:
     def test_zero_count_is_legal_noop(self):
         assert LoopAccess(0, 4, 0).total_accesses == 0
 
+    @pytest.mark.parametrize("work", [1.5, 2.0, -1, True, None])
+    def test_work_must_be_non_negative_int(self, work):
+        with pytest.raises(ValueError, match="work"):
+            LoopAccess(0, 4, 2, work=work)
+
+
+class TestWork:
+    @pytest.mark.parametrize("cycles", [-5, 2.5, 3.0, True, "7"])
+    def test_cycles_must_be_non_negative_int(self, cycles):
+        with pytest.raises(ValueError, match="cycles"):
+            Work(cycles)
+
+    def test_zero_cycles_accepted(self):
+        assert Work(0).cycles == 0
+
 
 def test_malloc_callsite_optional():
     assert Malloc(16).callsite is None

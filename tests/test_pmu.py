@@ -31,6 +31,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PMUConfig(handler_cost=-1)
 
+    @pytest.mark.parametrize("name", ["handler_cost", "trap_cost",
+                                      "thread_setup_cost"])
+    def test_fractional_costs_rejected(self, name):
+        with pytest.raises(ConfigError, match=name):
+            PMUConfig(**{name: 2.5})
+
 
 class TestSampling:
     def test_setup_cost_returned(self):

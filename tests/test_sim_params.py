@@ -77,3 +77,30 @@ class TestMachineConfig:
     def test_invalid_latency_rejected_via_config(self):
         with pytest.raises(ConfigError):
             MachineConfig(latency=LatencyModel(l1_hit=-1))
+
+
+class TestCycleInputs:
+    """Time-valued inputs are added to simulated clocks, which must stay
+    non-negative ints (the engine packs them into its heap keys)."""
+
+    @pytest.mark.parametrize("name", [
+        "spawn_cost", "join_cost", "alloc_cost",
+        "remote_fetch_penalty", "remote_transfer_penalty"])
+    @pytest.mark.parametrize("value", [2.5, 1.0, -300, True, "5", None])
+    def test_machine_costs_must_be_non_negative_ints(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            MachineConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["spawn_cost", "join_cost",
+                                      "alloc_cost"])
+    def test_zero_machine_cost_accepted(self, name):
+        assert getattr(MachineConfig(**{name: 0}), name) == 0
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, False])
+    def test_latency_costs_must_be_ints(self, value):
+        with pytest.raises(ConfigError, match="l1_hit"):
+            LatencyModel(l1_hit=value)
+
+    def test_machine_dict_with_fractional_cost_rejected(self):
+        with pytest.raises(ConfigError, match="alloc_cost"):
+            MachineConfig.from_dict({"alloc_cost": 0.5})

@@ -2,12 +2,16 @@
 
 Used to verify that hot-path optimisations leave every deterministic
 output bit-identical: run it before and after a change and diff the
-JSON. Not a test — the golden determinism test in
-``tests/test_determinism.py`` covers the same property in CI.
+JSON::
 
-::
+    PYTHONPATH=src python tools/determinism_ref.py > ref.json
 
-    PYTHONPATH=src python tools/determinism_ref.py > /tmp/ref.json
+``tests/data/determinism_golden.json`` holds this script's output for
+the single runs in :data:`RUNS` (every key but ``scaling``), and
+``tests/test_determinism.py`` recomputes each of them with
+:func:`fingerprint_run` and compares, pinning simulated outputs across
+commits. After a change that alters outputs on purpose, regenerate the
+golden from this output without the ``scaling`` entry.
 """
 
 from __future__ import annotations
@@ -64,19 +68,27 @@ def fingerprint_run(name: str, *, threads: int, scale: float, seed: int,
     return entry
 
 
-def main() -> int:
-    out = {}
+def _runs() -> dict:
+    runs = {}
     for name, threads in (("linear_regression", 8), ("histogram", 4),
                           ("streamcluster", 4)):
         for seed in (11, 22):
             key = f"{name}-t{threads}-s{seed}"
-            out[key + "-native"] = fingerprint_run(
-                name, threads=threads, scale=0.25, seed=seed)
-            out[key + "-cheetah"] = fingerprint_run(
-                name, threads=threads, scale=0.25, seed=seed,
-                with_cheetah=True)
-    out["linear_regression-fixed"] = fingerprint_run(
-        "linear_regression", threads=8, scale=0.25, seed=11, fixed=True)
+            args = dict(name=name, threads=threads, scale=0.25, seed=seed)
+            runs[key + "-native"] = args
+            runs[key + "-cheetah"] = dict(args, with_cheetah=True)
+    runs["linear_regression-fixed"] = dict(
+        name="linear_regression", threads=8, scale=0.25, seed=11,
+        fixed=True)
+    return runs
+
+
+#: Output key -> :func:`fingerprint_run` arguments for each single run.
+RUNS = _runs()
+
+
+def main() -> int:
+    out = {key: fingerprint_run(**args) for key, args in RUNS.items()}
     sc = scaling.run(scale=0.1, thread_counts=(2, 4))
     out["scaling"] = [
         {"threads": r.threads, "unfixed": r.unfixed_runtime,
