@@ -410,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bind port; 0 picks an ephemeral port "
                               "(default: 8137)")
     serve_p.add_argument("--workers", type=int, default=2,
-                         help="job worker threads (default: 2)")
+                         help="job workers: threads, each with one "
+                              "process for its cold jobs (default: 2)")
     serve_p.add_argument("--max-queue", type=int, default=64,
                          help="queued-job bound; a full queue answers "
                               "429 (default: 64)")

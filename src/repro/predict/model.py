@@ -420,7 +420,7 @@ def predict_from_profiles(primary: AccessProfile,
         metadata=metadata,
     )
     return RunOutcome(result=summary, report=report, obs=None,
-                      fresh_prediction=True)
+                      fresh=True)
 
 
 def _scale_object(obj: ObjectProfile, counts, thread_factor: float,

@@ -164,4 +164,4 @@ def sampled_outcome(workload: Workload, *,
     # The report reflects burst 0 (a real, fully-simulated execution);
     # improvement factors are ratio-based and carry over to the target.
     return RunOutcome(result=summary, report=outcomes[0].report, obs=None,
-                      fresh_prediction=True)
+                      fresh=True)

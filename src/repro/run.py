@@ -136,12 +136,13 @@ class RunOutcome:
     #: Metrics snapshot carried by a deserialized outcome (live outcomes
     #: read the snapshot off ``obs`` instead).
     cached_metrics: Optional[Dict[str, Any]] = None
-    #: True for outcomes freshly produced by the analytical modes
-    #: (``mode="predict"``/``"sampled"``) — they carry a
-    #: :class:`RunSummary` like cached outcomes do, but were computed,
-    #: not rehydrated. Not serialized; rehydrated predictions read as
-    #: cached (their ``predicted`` metadata survives).
-    fresh_prediction: bool = False
+    #: True for outcomes that carry a :class:`RunSummary` like cached
+    #: outcomes do, but were computed for this call, not served from a
+    #: cache: fresh predictions of the analytical modes
+    #: (``mode="predict"``/``"sampled"``) and runs the serve daemon's
+    #: worker processes simulated. Not serialized; a rehydrated payload
+    #: reads as cached (a prediction's ``predicted`` metadata survives).
+    fresh: bool = False
     #: Live PMU / profiler of a freshly simulated cheetah run (for
     #: inspecting sampling state — adaptive period history, streaming
     #: findings). ``None`` on native, cached and predicted outcomes;
@@ -171,9 +172,9 @@ class RunOutcome:
 
     @property
     def from_cache(self) -> bool:
-        """True when this outcome was rehydrated from serialized form."""
-        return (isinstance(self.result, RunSummary)
-                and not self.fresh_prediction)
+        """True when this outcome was rehydrated from serialized form
+        rather than computed for this call (see :attr:`fresh`)."""
+        return isinstance(self.result, RunSummary) and not self.fresh
 
     @property
     def predicted(self) -> bool:
@@ -384,11 +385,29 @@ def run_workload(workload: Workload, *,
         profiler = CheetahProfiler(cheetah_config)
         profiler.attach(engine)
     result = engine.run(workload.main)
+    if pmu is not None:
+        # Recorded in the metadata so it survives serialization: the
+        # findings sink reads it off cached and relayed outcomes too.
+        result.metadata["pmu_overhead_cycles"] = _pmu_overhead_cycles(pmu)
     report = profiler.finalize(result) if profiler else None
     if observability is not None:
         observability.finalize(result, pmu=pmu, profiler=profiler)
     return RunOutcome(result=result, report=report, obs=observability,
                       pmu=pmu, profiler=profiler)
+
+
+def _pmu_overhead_cycles(pmu: PMU) -> int:
+    """Total PMU-charged cycles of a profiled run.
+
+    Mirrors the ``pmu_overhead_cycles_total`` decomposition the
+    observability layer exports: per-thread setup + sample handlers +
+    traps on non-memory instructions.
+    """
+    traps = pmu.samples_fired - pmu.memory_samples
+    config = pmu.config
+    return (pmu.threads_set_up * config.thread_setup_cost
+            + pmu.memory_samples * config.handler_cost
+            + traps * config.trap_cost)
 
 
 def _run_analytical(workload, config, jitter_seed, pmu_config,

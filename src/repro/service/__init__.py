@@ -127,30 +127,37 @@ class RunService:
 
     # -- single runs ---------------------------------------------------------
 
-    def run(self, spec: RunSpec, force: bool = False) -> RunOutcome:
+    def run(self, spec: RunSpec, force: bool = False,
+            execute: Optional[Callable[[RunSpec], RunOutcome]] = None
+            ) -> RunOutcome:
         """The outcome for ``spec``: from cache when possible, else run.
 
         ``force`` re-executes even on a hit (and refreshes the entry).
         An active ambient observability default bypasses the cache
         entirely — observed runs exist to be watched, not replayed.
+        ``execute`` runs the spec whenever the store does not serve it
+        (default :meth:`RunSpec.execute`, in this process); the serve
+        daemon passes one that simulates in its worker process.
         """
         if not isinstance(spec, RunSpec):
             raise ServiceError(
                 f"RunService.run expects a RunSpec, got "
                 f"{type(spec).__name__}")
+        if execute is None:
+            execute = RunSpec.execute
         if _obs_default() is not None:
             self._runs.inc(label_value="bypassed")
-            return spec.execute()
+            return execute(spec)
         if not self.enabled:
             self._runs.inc(label_value="disabled")
-            return spec.execute()
+            return execute(spec)
         key = spec.key()
         if not force:
             cached = self.store.get(key)
             if cached is not None:
                 self._runs.inc(label_value="hit")
                 return cached
-        outcome = spec.execute()
+        outcome = execute(spec)
         self.store.put(key, outcome)
         self._runs.inc(label_value="executed")
         return outcome

@@ -24,13 +24,18 @@ then the tenant allowlist, then per-tenant rate/pending quotas — each
 rejection is a 429 (or 403) with a ``Retry-After`` hint, so overload
 never manifests as queue bloat.
 
-Jobs run *inline* on daemon worker threads (never the scheduler's
-process pool): the worker registers a context-local finding listener
-(:func:`repro.obs.push_finding_listener`) before executing, so windowed
-detections stream to ``/v1/jobs/{id}/events`` the moment the detector
-emits them — without attaching an Observability, which would bypass the
-cache by design. Cached windowed runs replay their serialized findings
-(outcome schema v2) as immediately-available events.
+Each of the ``workers`` job threads serves its jobs through
+:meth:`RunService.run <repro.service.RunService.run>`, so store lookup,
+store commit and run counters stay in the daemon, and warm jobs (store
+hits) never leave it. A cold job (a cache miss) is simulated in the
+thread's own worker process (:class:`~repro.service.worker.WorkerProcess`,
+started with ``spawn`` on the thread's first cold job), so simulations
+run in parallel instead of under the daemon's one GIL. The process
+forwards each windowed finding over its pipe as the detector emits it,
+and the thread appends it to ``/v1/jobs/{id}/events`` at once; then the
+outcome comes back and is rehydrated byte-identically. Cached windowed
+runs replay their serialized findings (outcome schema v2) as
+immediately-available events.
 
 Tenancy never enters the outcome payload: ``RunOutcome.tenant`` stays
 ``None`` so a job's result JSON is byte-identical to a direct CLI run of
@@ -39,7 +44,8 @@ recorded on the job and in the sink rows instead.
 
 Graceful shutdown (:meth:`Daemon.shutdown`, or SIGINT under ``repro
 serve``) stops accepting connections, drains in-flight jobs up to
-``drain_timeout`` seconds, and flushes the sink.
+``drain_timeout`` seconds, stops every worker process, and flushes the
+sink. Worker processes ignore SIGINT, so Ctrl-C drains through here.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from __future__ import annotations
 import json
 import queue
 import threading
+import traceback
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
@@ -54,12 +61,12 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.config import ConfigBase
 from repro.errors import ConfigError, ReproError, SchemaError, ServiceError
-from repro.obs import MetricsRegistry, pop_finding_listener, \
-    push_finding_listener
+from repro.obs import MetricsRegistry
 from repro.service import RunService
 from repro.service.quotas import Admission
 from repro.service.sink import FindingsSink
 from repro.service.spec import RunSpec
+from repro.service.worker import WorkerError, WorkerProcess
 
 __all__ = ["Daemon", "Job", "ServeConfig"]
 
@@ -76,7 +83,9 @@ class ServeConfig(ConfigBase):
     Attributes:
         host / port: bind address; port ``0`` picks an ephemeral port
             (tests), readable as ``daemon.port`` after start.
-        workers: job worker threads (each runs one job at a time).
+        workers: job worker threads, each paired with one worker
+            process that simulates its cold jobs (started on the
+            thread's first cold job); each pair runs one job at a time.
         max_queue: bound on queued jobs; a full queue rejects with 429.
         rate / burst: global submission token bucket; ``rate <= 0``
             disables global rate limiting.
@@ -229,6 +238,7 @@ class Daemon:
         self._jobs_lock = threading.Lock()
         self._next_id = 0
         self._workers: List[threading.Thread] = []
+        self._processes: List[WorkerProcess] = []
         self._stopping = threading.Event()
         self._http_thread: Optional[threading.Thread] = None
 
@@ -265,12 +275,7 @@ class Daemon:
 
     def start(self) -> "Daemon":
         """Spawn workers and the HTTP loop (returns immediately)."""
-        for index in range(self.config.workers):
-            worker = threading.Thread(
-                target=self._worker_loop, name=f"repro-serve-worker-{index}",
-                daemon=True)
-            worker.start()
-            self._workers.append(worker)
+        self._start_workers()
         self._http_thread = threading.Thread(
             target=self._server.serve_forever, name="repro-serve-http",
             daemon=True)
@@ -279,20 +284,36 @@ class Daemon:
 
     def serve_forever(self) -> None:
         """Run the HTTP loop on the calling thread (the CLI path)."""
-        for index in range(self.config.workers):
-            worker = threading.Thread(
-                target=self._worker_loop, name=f"repro-serve-worker-{index}",
-                daemon=True)
-            worker.start()
-            self._workers.append(worker)
+        self._start_workers()
         self._server.serve_forever()
 
+    def _start_workers(self) -> None:
+        # Worker processes start lazily, on each thread's first cold
+        # job: a daemon serving only warm jobs never spawns one.
+        for index in range(self.config.workers):
+            name = f"repro-serve-worker-{index}"
+            process = WorkerProcess(name)
+            worker = threading.Thread(
+                target=self._worker_loop, args=(process,), name=name,
+                daemon=True)
+            self._processes.append(process)
+            self._workers.append(worker)
+            worker.start()
+
+    def worker_pids(self) -> List[int]:
+        """Pids of the worker processes currently running."""
+        return [pid for pid in (process.pid for process in self._processes)
+                if pid is not None]
+
     def shutdown(self) -> None:
-        """Graceful stop: close the listener, drain jobs, flush the sink.
+        """Graceful stop: close the listener, drain jobs, stop the
+        worker processes, flush the sink.
 
         Queued and running jobs finish (up to ``drain_timeout``
         seconds); new submissions are already impossible once the
-        listener is down.
+        listener is down. A worker process still busy after that is
+        killed, which fails its job, and a cold job still queued then
+        fails instead of starting a new process.
         """
         if self._stopping.is_set():
             return
@@ -306,6 +327,8 @@ class Daemon:
         deadline = self.config.drain_timeout
         for worker in self._workers:
             worker.join(timeout=max(0.1, deadline))
+        for process in self._processes:
+            process.stop()
         self.sink.flush()
 
     # -- job execution -------------------------------------------------------
@@ -345,51 +368,55 @@ class Daemon:
         self._submissions.inc(label_value="accepted")
         return 202, {"id": job.id, "status": job.status}
 
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, process: WorkerProcess) -> None:
         while True:
             job = self._queue.get()
             if job is None:
                 return
             try:
-                self._run_job(job)
+                self._run_job(job, process)
             finally:
                 self._queue.task_done()
 
-    def _run_job(self, job: Job) -> None:
+    def _run_job(self, job: Job, process: WorkerProcess) -> None:
         with job.cond:
             job.status = "running"
-        token = push_finding_listener(
-            lambda finding: self._on_finding(job, finding))
         try:
-            outcome = self.service.run(job.spec)
-        except ReproError as exc:
-            job.finish("failed", error=f"{type(exc).__name__}: {exc}")
+            outcome = self.service.run(
+                job.spec, execute=lambda spec: process.execute(
+                    spec, lambda event: self._add_event(job, event)))
+            if outcome.from_cache:
+                # A warm hit replays no live detector: surface the
+                # serialized findings as immediately-available events
+                # so /events readers see the same stream either way.
+                for finding in outcome.streaming_findings:
+                    self._add_event(job, dict(finding))
+            rows = self.sink.record_outcome(
+                outcome, job_id=job.id, key=job.key,
+                workload=job.spec.workload, tenant=job.tenant)
+        except Exception as exc:  # the job fails, the worker lives on
+            if not isinstance(exc, ReproError):
+                traceback.print_exc()
+            self._retire(job)
+            error = (str(exc) if isinstance(exc, WorkerError)
+                     else f"{type(exc).__name__}: {exc}")
+            job.finish("failed", error=error)
             self._jobs_counter.inc(label_value="failed")
             return
-        finally:
-            pop_finding_listener(token)
-            with self._jobs_lock:
-                if self._active.get(job.key) is job:
-                    del self._active[job.key]
-            self.admission.release(job.tenant)
-        cached = outcome.from_cache
-        if cached:
-            # A warm hit replays no live detector: surface the
-            # serialized findings as immediately-available events so
-            # /events readers see the same stream either way.
-            for finding in outcome.streaming_findings:
-                self._on_finding_dict(job, dict(finding))
-        rows = self.sink.record_outcome(
-            outcome, job_id=job.id, key=job.key,
-            workload=job.spec.workload, tenant=job.tenant)
         self._sink_rows.inc(rows)
-        job.finish("done", outcome=outcome, cached=cached)
+        self._retire(job)
+        job.finish("done", outcome=outcome, cached=outcome.from_cache)
         self._jobs_counter.inc(label_value="done")
 
-    def _on_finding(self, job: Job, finding: Any) -> None:
-        self._on_finding_dict(job, finding.to_dict())
+    def _retire(self, job: Job) -> None:
+        """Release the job's dedupe slot and tenant quota (before it
+        reads as finished, so a resubmission never dedupes onto it)."""
+        with self._jobs_lock:
+            if self._active.get(job.key) is job:
+                del self._active[job.key]
+        self.admission.release(job.tenant)
 
-    def _on_finding_dict(self, job: Job, event: Dict[str, Any]) -> None:
+    def _add_event(self, job: Job, event: Dict[str, Any]) -> None:
         event["job_id"] = job.id
         job.add_event(event)
         self._events_counter.inc()

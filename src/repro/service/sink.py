@@ -26,7 +26,9 @@ count is validated against each column on load.
 Three row kinds share one schema (absent fields are ``null``):
 
 - ``"run"`` — one row per recorded outcome: runtime, ground-truth
-  invalidations, and PMU overhead for freshly profiled runs;
+  invalidations, and PMU overhead for profiled runs (read from the
+  outcome's ``pmu_overhead_cycles`` metadata, so cached outcomes carry
+  it too);
 - ``"finding"`` — one row per incremental windowed-detector finding
   (replayed identically from cache thanks to outcome schema v2);
 - ``"instance"`` — one row per reported sharing instance, carrying the
@@ -192,7 +194,8 @@ class FindingsSink:
         count = 0
         self.append(dict(base, kind="run", runtime=outcome.runtime,
                          invalidations=outcome.invalidations,
-                         overhead_cycles=_pmu_overhead(outcome)))
+                         overhead_cycles=outcome.result.metadata.get(
+                             "pmu_overhead_cycles")))
         count += 1
         for finding in outcome.streaming_findings:
             self.append(dict(
@@ -272,9 +275,9 @@ class FindingsSink:
             *, workload: Optional[str] = None) -> Dict[str, Optional[float]]:
         """Percentiles of PMU overhead cycles over profiled ``run`` rows.
 
-        Rows without an overhead figure (native runs, cached payloads
-        predating the live PMU) are skipped; all-null data yields null
-        percentiles.
+        Rows without an overhead figure (native runs, payloads cached
+        before outcomes recorded ``pmu_overhead_cycles``) are skipped;
+        all-null data yields null percentiles.
         """
         values = sorted(row["overhead_cycles"]
                         for row in self.query(workload=workload, kind="run")
@@ -298,23 +301,6 @@ class FindingsSink:
                 "segments": len(self._segments),
                 "kinds": kinds,
             }
-
-
-def _pmu_overhead(outcome: Any) -> Optional[int]:
-    """Total PMU-charged cycles of a freshly profiled run, else None.
-
-    Mirrors the ``pmu_overhead_cycles_total`` decomposition the
-    observability layer exports: per-thread setup + sample handlers +
-    traps on non-memory instructions.
-    """
-    pmu = getattr(outcome, "pmu", None)
-    if pmu is None:
-        return None
-    traps = pmu.samples_fired - pmu.memory_samples
-    config = pmu.config
-    return (pmu.threads_set_up * config.thread_setup_cost
-            + pmu.memory_samples * config.handler_cost
-            + traps * config.trap_cost)
 
 
 def _percentile(values: List[float], pct: float) -> Optional[float]:

@@ -1,7 +1,13 @@
 """The serve daemon end to end, over real HTTP on an ephemeral port."""
 
+import glob
 import json
+import os
+import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -10,9 +16,11 @@ import urllib.request
 import pytest
 
 from repro.cli import main as cli_main
-from repro.errors import ConfigError, ServiceError
+from repro.errors import ConfigError, ReproError, ServiceError
 from repro.request import RunRequest
+from repro.service import RunService
 from repro.service.daemon import Daemon, ServeConfig
+from repro.service.sink import FindingsSink
 
 WINDOWED = RunRequest(workload="linear_regression", threads=4,
                       detector="windowed")
@@ -360,6 +368,300 @@ class TestGracefulShutdown:
             sink_dir=str(tmp_path / "sink"))).start()
         daemon.shutdown()
         daemon.shutdown()
+
+
+def make_daemon(tmp_path, workers=1, drain_timeout=60.0, **kwargs):
+    return Daemon(ServeConfig(
+        port=0, workers=workers, cache_dir=str(tmp_path / "cache"),
+        sink_dir=str(tmp_path / "sink"), drain_timeout=drain_timeout),
+        **kwargs).start()
+
+
+def wait_until(predicate, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition not met in time")
+        time.sleep(0.005)
+
+
+def pid_gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def spawned_children(pid):
+    """Pids of ``pid``'s ``spawn`` worker processes, read from /proc."""
+    found = []
+    for stat in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(stat) as handle:
+                ppid = int(handle.read().rsplit(")", 1)[1].split()[1])
+            with open(stat[:-len("stat")] + "cmdline", "rb") as handle:
+                cmdline = handle.read()
+        except (OSError, IndexError, ValueError):
+            continue  # exited while we looked
+        if ppid == pid and b"spawn_main" in cmdline:
+            found.append(int(stat.split("/")[2]))
+    return found
+
+
+def serve_in_own_group(tmp_path):
+    """``repro serve`` with one worker in a new process group, so a
+    group-wide SIGINT reaches it and its children but not the tests."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         env.get("PYTHONPATH", "")])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "1", "--cache-dir", str(tmp_path / "cache"),
+         "--sink-dir", str(tmp_path / "sink")],
+        stderr=subprocess.PIPE, env=env, start_new_session=True)
+    try:
+        assert select.select([proc.stderr], [], [], 60)[0], "no banner"
+        banner = proc.stderr.readline().decode()
+    except BaseException:
+        reap_group(proc)
+        raise
+    return proc, banner.rsplit("on ", 1)[1].strip()
+
+
+def reap_group(proc):
+    if proc.poll() is None:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=60)
+    proc.stderr.close()
+
+
+def post_job(base, request):
+    post = urllib.request.Request(
+        f"{base}/v1/jobs",
+        data=json.dumps({"request": request.to_dict()}).encode())
+    with urllib.request.urlopen(post, timeout=60) as resp:
+        return json.loads(resp.read())["id"]
+
+
+def strip_job_id(events):
+    return [{k: v for k, v in e.items() if k != "job_id"} for e in events]
+
+
+#: Runs long enough to be caught mid-job once its first finding arrived.
+SLOW = RunRequest(workload="linear_regression", threads=4, scale=3.0,
+                  detector="windowed")
+
+
+def wait_for_first_event(daemon, job_id):
+    job = daemon.get_job(job_id)
+    wait_until(lambda: job.events or job.events_done)
+    assert job.status == "running", "job ended before it could be caught"
+
+
+class TestWorkerProcesses:
+    """Cold jobs run in per-worker processes; warm jobs never leave."""
+
+    def test_killed_worker_fails_its_job_and_the_next_job_runs(
+            self, tmp_path):
+        daemon = make_daemon(tmp_path)
+        try:
+            client = Client(daemon)
+            _, body, _ = client.submit(SLOW)
+            wait_for_first_event(daemon, body["id"])
+            [pid] = daemon.worker_pids()
+            os.kill(pid, signal.SIGKILL)
+            job = client.wait(body["id"])
+            assert job["status"] == "failed"
+            assert job["error"].startswith("ServiceError: worker process")
+            assert "killed by signal 9" in job["error"]
+            client.events(body["id"])  # the stream ends
+            _, body, _ = client.submit(NATIVE)
+            job = client.wait(body["id"])
+            assert job["status"] == "done" and job["cached"] is False
+            assert daemon.worker_pids() and daemon.worker_pids() != [pid]
+        finally:
+            daemon.shutdown()
+
+    def test_worker_error_keeps_the_direct_run_error_text(self, tmp_path):
+        bad = RunRequest(workload="no_such_workload")
+        with pytest.raises(ReproError) as direct:
+            bad.execute()
+        daemon = make_daemon(tmp_path)
+        try:
+            client = Client(daemon)
+            _, body, _ = client.submit(bad)
+            job = client.wait(body["id"])
+            assert job["error"] == \
+                f"{type(direct.value).__name__}: {direct.value}"
+            [pid] = daemon.worker_pids()  # the process survives the error
+            _, body, _ = client.submit(NATIVE)
+            assert client.wait(body["id"])["status"] == "done"
+            assert daemon.worker_pids() == [pid]
+        finally:
+            daemon.shutdown()
+
+    def test_concurrent_cold_jobs_on_more_workers_than_cpus(self, tmp_path):
+        requests = [RunRequest(workload=name, threads=4, scale=0.2,
+                               jitter_seed=seed, detector="windowed")
+                    for name in ("linear_regression", "histogram",
+                                 "array_increment", "producer_consumer_ring")
+                    for seed in (1, 2, 3)]
+        interval = sys.getswitchinterval()
+        daemon = make_daemon(tmp_path, workers=4)
+        try:
+            sys.setswitchinterval(1e-5)  # interleave the threads hard
+            client = Client(daemon)
+            replies = []
+            lock = threading.Lock()
+
+            def submit(request):
+                status, body, _ = client.submit(request)
+                with lock:
+                    replies.append((request, status, body))
+
+            threads = [threading.Thread(target=submit, args=(request,))
+                       for request in requests + requests[::3]]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert len(replies) == len(threads)
+            assert all(status in (200, 202) for _, status, _ in replies)
+            assert len(daemon.worker_pids()) <= 4
+            for request, _, body in replies:
+                job = client.wait(body["id"])
+                assert job["status"] == "done"
+                events = client.events(body["id"])
+                assert strip_job_id(events) \
+                    == job["outcome"]["streaming_findings"]
+                assert json.dumps(job["outcome"], sort_keys=True) \
+                    == json.dumps(request.execute().to_dict(),
+                                  sort_keys=True)
+        finally:
+            daemon.shutdown()
+            sys.setswitchinterval(interval)
+        assert daemon.worker_pids() == []
+
+    def test_shutdown_drains_a_running_cold_job_then_stops_workers(
+            self, tmp_path):
+        daemon = make_daemon(tmp_path, workers=2)
+        try:
+            _, body, _ = Client(daemon).submit(SLOW)
+            wait_for_first_event(daemon, body["id"])
+            pids = daemon.worker_pids()
+            assert pids
+        finally:
+            daemon.shutdown()
+        assert daemon.get_job(body["id"]).status == "done"
+        assert daemon.worker_pids() == []
+        assert all(pid_gone(pid) for pid in pids)
+
+    def test_jobs_left_after_the_drain_fail_and_start_no_process(
+            self, tmp_path):
+        daemon = make_daemon(tmp_path, drain_timeout=0.0)
+        try:
+            client = Client(daemon)
+            _, running, _ = client.submit(SLOW)
+            wait_for_first_event(daemon, running["id"])
+            [pid] = daemon.worker_pids()
+            _, queued, _ = client.submit(NATIVE)  # waits behind SLOW
+            assert daemon.get_job(queued["id"]).status == "queued"
+        finally:
+            daemon.shutdown()
+        jobs = [daemon.get_job(body["id"]) for body in (running, queued)]
+        wait_until(lambda: all(job.status == "failed" for job in jobs),
+                   timeout=30)
+        assert jobs[0].error == \
+            "ServiceError: worker process repro-serve-worker-0 died " \
+            "during the job (stopped)"
+        assert jobs[1].error == \
+            "ServiceError: worker process repro-serve-worker-0 is stopped"
+        assert all(job.events_done for job in jobs)
+        assert daemon.worker_pids() == []
+        assert pid_gone(pid)
+
+    def test_ctrl_c_drains_a_running_cold_job(self, tmp_path):
+        """SIGINT to the whole process group, as Ctrl-C sends it: the
+        worker process ignores it and the daemon drains the job."""
+        proc, base = serve_in_own_group(tmp_path)
+        try:
+            job_id = post_job(base, SLOW)
+            with urllib.request.urlopen(
+                    f"{base}/v1/jobs/{job_id}/events", timeout=60) as resp:
+                assert resp.readline().strip()  # the job is mid-run
+                os.killpg(proc.pid, signal.SIGINT)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            reap_group(proc)
+        runs = FindingsSink(tmp_path / "sink").query(kind="run")
+        assert [row["job_id"] for row in runs] == [job_id]
+
+    def test_ctrl_c_while_the_worker_process_starts(self, tmp_path):
+        """SIGINT reaches the new worker process while it is still
+        importing, before it could install its own handler."""
+        proc, base = serve_in_own_group(tmp_path)
+        try:
+            job_id = post_job(base, NATIVE)
+            wait_until(lambda: spawned_children(proc.pid), timeout=30)
+            os.killpg(proc.pid, signal.SIGINT)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            reap_group(proc)
+        runs = FindingsSink(tmp_path / "sink").query(kind="run")
+        assert [row["job_id"] for row in runs] == [job_id]
+
+    def test_warm_only_daemon_starts_no_worker_process(self, tmp_path):
+        RunService(cache_dir=str(tmp_path / "cache")).run(NATIVE.to_spec())
+        daemon = make_daemon(tmp_path, workers=2)
+        try:
+            assert daemon.worker_pids() == []  # no jobs yet
+            client = Client(daemon)
+            for _ in range(3):
+                _, body, _ = client.submit(NATIVE)
+                job = client.wait(body["id"])
+                assert job["status"] == "done" and job["cached"] is True
+            assert daemon.worker_pids() == []
+        finally:
+            daemon.shutdown()
+
+
+class FlakySink(FindingsSink):
+    """A sink whose first ``record_outcome`` fails like a full disk."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.failures = 1
+
+    def record_outcome(self, *args, **kwargs):
+        if self.failures:
+            self.failures -= 1
+            raise OSError(28, "No space left on device")
+        return super().record_outcome(*args, **kwargs)
+
+
+class TestWorkerBoundary:
+    def test_unexpected_error_fails_the_job_not_the_worker(
+            self, tmp_path, capsys):
+        daemon = make_daemon(tmp_path, sink=FlakySink(tmp_path / "sink"))
+        try:
+            client = Client(daemon)
+            _, first, _ = client.submit(NATIVE)
+            job = client.wait(first["id"], timeout=30)
+            assert job["status"] == "failed"
+            assert job["error"] == \
+                "OSError: [Errno 28] No space left on device"
+            assert client.events(first["id"]) == []  # the stream ends
+            _, second, _ = client.submit(WINDOWED)
+            assert client.wait(second["id"], timeout=30)["status"] == "done"
+            text = daemon.render_metrics()
+            assert 'daemon_jobs_total{status="failed"} 1' in text
+            assert 'daemon_jobs_total{status="done"} 1' in text
+        finally:
+            daemon.shutdown()
+        assert "Traceback" in capsys.readouterr().err
 
 
 class TestStartupFailures:

@@ -210,7 +210,7 @@ class TestAnalyticalModel:
         assert meta["kernel"] == "predict"
         assert meta["profile"]["calibration_points"] == 2
         assert pred.predicted
-        assert pred.fresh_prediction
+        assert pred.fresh
         assert not pred.from_cache
 
     def test_thread_extrapolation_scales_invalidations(self):

@@ -5,11 +5,13 @@ Starts ``python -m repro serve`` on an ephemeral port as a subprocess,
 submits a windowed-detector job over HTTP, polls it to completion,
 asserts at least one NDJSON finding event and a non-empty ``/metrics``
 exposition, then delivers SIGINT and checks the daemon drains and exits
-0.
+0, leaving none of its child processes (the worker process that ran the
+job among them) alive.
 
 Usage: PYTHONPATH=src python tools/serve_smoke.py
 """
 
+import glob
 import json
 import os
 import signal
@@ -40,6 +42,34 @@ def wait_for_listening(proc):
     fail("timed out waiting for the listening banner")
 
 
+def child_pids(pid):
+    """Pids of the processes whose parent is ``pid``.
+
+    Read from each process's ``/proc/<pid>/stat``: the per-task
+    ``children`` files need a kernel built with CONFIG_PROC_CHILDREN.
+    """
+    children = []
+    for path in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(path) as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # exited while we looked
+        if int(fields[1]) == pid:
+            children.append(int(path.split("/")[2]))
+    return sorted(children)
+
+
+def alive(pid):
+    """True while ``pid`` runs; a zombie awaiting its reaper has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
 def get_json(url):
     with urllib.request.urlopen(url, timeout=30) as resp:
         return json.loads(resp.read())
@@ -54,6 +84,7 @@ def main():
          "--cache-dir", os.path.join(tmp, "cache"),
          "--sink-dir", os.path.join(tmp, "sink")],
         stderr=subprocess.PIPE, env=env)
+    children = []
     try:
         base = wait_for_listening(proc)
         print(f"serve_smoke: daemon at {base}")
@@ -112,15 +143,31 @@ def main():
         if findings["stats"]["rows"] < 1:
             fail("findings sink is empty after a completed job")
 
+        children = child_pids(proc.pid)
+        if not children:
+            fail("the daemon has no worker process after a cold job")
+        print(f"serve_smoke: daemon children {children}")
+
         proc.send_signal(signal.SIGINT)
         rc = proc.wait(timeout=TIMEOUT)
         if rc != 0:
             fail(f"daemon exited {rc} after SIGINT")
-        print("serve_smoke: clean shutdown, PASS")
+        # multiprocessing's resource tracker exits once the daemon's end
+        # of its pipe closes, so allow it a moment.
+        deadline = time.monotonic() + 10.0
+        while any(map(alive, children)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in children if alive(pid)]
+        if left:
+            fail(f"child processes {left} outlived the daemon")
+        print("serve_smoke: clean shutdown, no child left, PASS")
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        for pid in children:
+            if alive(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 if __name__ == "__main__":
