@@ -15,7 +15,7 @@ Run:
 
 import sys
 
-from repro import profile, run_plain
+from repro import Session
 from repro.workloads.phoenix import (
     LINEAR_REGRESSION_CALLSITE, LinearRegression,
 )
@@ -25,7 +25,8 @@ def main() -> None:
     threads = int(sys.argv[1]) if len(sys.argv) > 1 else 16
 
     print(f"=== profiling linear_regression with {threads} threads ===\n")
-    result, report = profile(LinearRegression(num_threads=threads))
+    session = Session(LinearRegression, threads=threads)
+    report = session.report()
     print(report.render())
 
     best = report.best()
@@ -39,8 +40,8 @@ def main() -> None:
     print("typedef struct { ... long long SX, SY, SXX, SYY, SXY;")
     print("                 char padding[64 - sizeof(...)...]; } lreg_args;")
 
-    original = run_plain(LinearRegression(num_threads=threads))
-    fixed = run_plain(LinearRegression(num_threads=threads, fixed=True))
+    original = session.run()
+    fixed = Session(LinearRegression, threads=threads, fixed=True).run()
     real = original.runtime / fixed.runtime
 
     print(f"\nruntime before fix: {original.runtime:>12,} cycles")

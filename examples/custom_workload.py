@@ -13,7 +13,7 @@ Run:
     python examples/custom_workload.py
 """
 
-from repro import profile, run_plain
+from repro import Session
 
 NUM_THREADS = 8
 ITEMS_PER_THREAD = 1200
@@ -59,7 +59,8 @@ def make_program(stats_stride):
 
 def main() -> None:
     print("=== profiling the buggy layout (16-byte stats structs) ===\n")
-    result, report = profile(make_program(STATS_STRIDE_BUGGY))
+    buggy = Session(make_program(STATS_STRIDE_BUGGY))
+    report = buggy.report()
     print(report.render())
 
     best = report.best()
@@ -71,15 +72,13 @@ def main() -> None:
           "lines -> false sharing.")
     print("Fix: pad the stats struct to one cache line (16 -> 64 bytes).")
 
-    buggy = run_plain(make_program(STATS_STRIDE_BUGGY))
-    fixed = run_plain(make_program(STATS_STRIDE_FIXED))
-    real = buggy.runtime / fixed.runtime
+    fixed = Session(make_program(STATS_STRIDE_FIXED))
+    real = buggy.run().runtime / fixed.run().runtime
     print(f"\nreal speedup:      {real:.2f}x")
     print(f"Cheetah predicted: {best.improvement:.2f}x")
 
     print("\n=== re-profiling the fixed layout ===")
-    _, clean_report = profile(make_program(STATS_STRIDE_FIXED))
-    if clean_report.significant:
+    if fixed.report().significant:
         print("still reported (unexpected)")
     else:
         print("Cheetah reports no significant false sharing. Bug fixed.")

@@ -10,8 +10,11 @@ Run:
     python examples/interrupt_report.py
 """
 
-from repro import CheetahProfiler, Engine, MachineConfig, PMU, PMUConfig
+from repro.core.profiler import CheetahProfiler
 from repro.heap.allocator import CheetahAllocator
+from repro.pmu.sampler import PMU, PMUConfig
+from repro.sim.engine import Engine
+from repro.sim.params import MachineConfig
 from repro.symbols.table import SymbolTable
 from repro.workloads.phoenix import LinearRegression
 

@@ -44,16 +44,13 @@ anything a v2 caller imports. The old ``Workload`` boolean pair
 (``documented_false_sharing`` / ``significant_false_sharing``) still
 reads, derived from ``ground_truth`` with a :class:`DeprecationWarning`.
 
-Everything else is internal. The pre-v1 names (``profile``,
-``run_plain``, and the raw substrate classes that used to leak through
-this module) still import but emit :class:`DeprecationWarning` via the
-module ``__getattr__``.
+Everything else is internal and imports from its defining submodule.
+The pre-v1 names that used to resolve here (``profile``, ``run_plain``
+and the raw substrate classes) are retired; ``docs/api.md`` names the
+replacement for each.
 """
 
 from __future__ import annotations
-
-import warnings
-from typing import Any, List, Optional, Tuple
 
 from repro.api import Session
 from repro.core.detection import DetectorConfig
@@ -137,95 +134,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def _prepare(workload_or_fn: Any, symbols):
-    """Accept either a Workload object or a bare generator function."""
-    from repro.symbols.table import SymbolTable
-    if hasattr(workload_or_fn, "main") and hasattr(workload_or_fn, "setup"):
-        table = symbols or SymbolTable()
-        workload_or_fn.setup(table)
-        return workload_or_fn.main, table
-    return workload_or_fn, symbols or SymbolTable()
-
-
-def _run_plain(workload_or_fn: Any, *args: Any,
-               machine_config: Optional[MachineConfig] = None,
-               symbols=None):
-    """Run a workload without any profiling (the "pthreads" baseline)."""
-    from repro.heap.allocator import CheetahAllocator
-    from repro.sim.engine import Engine
-    main_fn, table = _prepare(workload_or_fn, symbols)
-    config = machine_config or MachineConfig()
-    engine = Engine(config=config, symbols=table,
-                    allocator=CheetahAllocator(line_size=config.cache_line_size))
-    return engine.run(main_fn, *args)
-
-
-def _profile(workload_or_fn: Any, *args: Any,
-             machine_config: Optional[MachineConfig] = None,
-             pmu_config: Optional[PMUConfig] = None,
-             cheetah_config: Optional[CheetahConfig] = None,
-             symbols=None) -> Tuple[Any, CheetahReport]:
-    """Run a workload under Cheetah; returns (run result, report)."""
-    from repro.core.profiler import CheetahProfiler
-    from repro.heap.allocator import CheetahAllocator
-    from repro.pmu.sampler import PMU
-    from repro.sim.engine import Engine
-    main_fn, table = _prepare(workload_or_fn, symbols)
-    config = machine_config or MachineConfig()
-    pmu = PMU(pmu_config or PMUConfig())
-    engine = Engine(config=config, symbols=table, pmu=pmu,
-                    allocator=CheetahAllocator(line_size=config.cache_line_size))
-    profiler = CheetahProfiler(cheetah_config)
-    profiler.attach(engine)
-    result = engine.run(main_fn, *args)
-    report = profiler.finalize(result)
-    return result, report
-
-
-# Pre-v1 names still importable from here, with a DeprecationWarning and
-# a pointer at the supported spelling. Kept out of module globals so the
-# PEP 562 __getattr__ below fires for them.
-_DEPRECATED = {
-    "profile": (lambda: _profile,
-                "use repro.Session(...).profile() (or repro.run_workload "
-                "with with_cheetah=True)"),
-    "run_plain": (lambda: _run_plain,
-                  "use repro.Session(...).run() (or repro.run_workload)"),
-    "Engine": (lambda: _import("repro.sim.engine", "Engine"),
-               "import it from repro.sim.engine"),
-    "RunResult": (lambda: _import("repro.sim.engine", "RunResult"),
-                  "import it from repro.sim.engine"),
-    "PMU": (lambda: _import("repro.pmu.sampler", "PMU"),
-            "import it from repro.pmu.sampler"),
-    "CheetahProfiler": (lambda: _import("repro.core.profiler",
-                                        "CheetahProfiler"),
-                        "import it from repro.core.profiler"),
-    "SymbolTable": (lambda: _import("repro.symbols.table", "SymbolTable"),
-                    "import it from repro.symbols.table"),
-    "Observability": (lambda: _import("repro.obs", "Observability"),
-                      "import it from repro.obs"),
-    "CheetahAllocator": (lambda: _import("repro.heap.allocator",
-                                         "CheetahAllocator"),
-                         "import it from repro.heap.allocator"),
-}
-
-
-def _import(module: str, name: str) -> Any:
-    import importlib
-    return getattr(importlib.import_module(module), name)
-
-
-def __getattr__(name: str) -> Any:
-    if name in _DEPRECATED:
-        loader, hint = _DEPRECATED[name]
-        warnings.warn(
-            f"repro.{name} is not part of the frozen v{__api_version__} "
-            f"API and will be removed; {hint}",
-            DeprecationWarning, stacklevel=2)
-        return loader()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> List[str]:
-    return sorted(list(globals()) + list(_DEPRECATED))

@@ -37,14 +37,14 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Union
 
+from repro.context import current
 from repro.core.detection import DetectorConfig
 from repro.core.profiler import CheetahConfig, CheetahReport
 from repro.errors import ConfigError
 from repro.obs import ObsConfig, Observability
-from repro.obs import current_default as _obs_default
 from repro.pmu.sampler import PMUConfig
 from repro.run import RunOutcome, run_workload
-from repro.service import RunSpec, current_service, spec_for_workload_cls
+from repro.service import RunSpec, spec_for_workload_cls
 from repro.sim.engine import Observer
 from repro.sim.params import MachineConfig
 from repro.workloads import Workload, get_workload
@@ -245,10 +245,10 @@ class Session:
 
     def _execute(self, with_cheetah: bool) -> RunOutcome:
         spec = self._spec(with_cheetah)
-        if spec is not None and _obs_default() is None:
-            service = current_service()
-            if service is not None and service.enabled:
-                return service.run(spec)
+        context = current()
+        if spec is not None and context.obs is None:
+            if context.cache is not None:
+                return context.cache.run(spec)
             key = spec.key()
             cached = _MEMO.get(key)
             if cached is not None:

@@ -44,15 +44,10 @@ from repro.experiments import (
     adaptive, assumptions, comparison, detection, figure1, figure4, figure5,
     figure7, linesize, parallel, scaling, synchronization, table1,
 )
-from repro.obs import aggregate_snapshots, pop_default, push_default
+from repro.context import current, using
+from repro.obs import DefaultObs, aggregate_snapshots
 from repro.run import run_workload
-from repro.service import (
-    RunService,
-    cached_run,
-    current_service,
-    default_cache_dir,
-    using_service,
-)
+from repro.service import RunService, default_cache_dir, using_service
 from repro.workloads import (
     Verdict,
     all_workload_names,
@@ -501,8 +496,19 @@ def cmd_workloads(args) -> int:
 
 
 def cmd_record(args) -> int:
+    from repro.errors import ConfigError
     from repro.trace import record_workload, save_trace
-    configs = build_configs(args)
+    try:
+        configs = build_configs(args)
+        if configs.check:
+            raise ConfigError(
+                "--check is not supported: the recorder runs no coherence "
+                "sanitizer; sanitize the run with 'repro run --check'")
+    except ConfigError as exc:
+        # A flag the command cannot honour is an operator error: one
+        # diagnostic line and exit 2, as for a bad 'repro serve' knob.
+        print(f"repro record: {exc}", file=sys.stderr)
+        return 2
     cls = get_workload(args.workload)
     workload = cls(**configs.workload_kwargs)
     recorder, meta = record_workload(
@@ -605,20 +611,9 @@ def cmd_replay(args) -> int:
     return 0 if md["verdict"] == "false sharing" else 1
 
 
-def _session(args, configs: CLIConfigs) -> Session:
+def _session(configs: CLIConfigs) -> Session:
     """The one CLI-to-API bridge: every workload subcommand runs here."""
-    return Session(
-        args.workload,
-        threads=configs.workload_kwargs["num_threads"],
-        scale=configs.workload_kwargs["scale"],
-        fixed=configs.workload_kwargs["fixed"],
-        jitter_seed=configs.jitter_seed,
-        machine=configs.machine,
-        pmu=configs.pmu,
-        cheetah=configs.cheetah,
-        obs=configs.obs,
-        check=configs.check,
-    )
+    return configs.request.session(obs=configs.obs, check=configs.check)
 
 
 def _write_text(dest: str, text: str, what: str) -> None:
@@ -653,7 +648,7 @@ def _write_obs_outputs(args, outcome) -> None:
 
 def cmd_run(args) -> int:
     configs = build_configs(args)
-    outcome = _session(args, configs).run()
+    outcome = _session(configs).run()
     result = outcome.result
     # RunSummary (cache hit) and RunResult (live run) both answer these;
     # invalidations go through the outcome so a cached run — which has
@@ -682,7 +677,7 @@ def cmd_profile(args) -> int:
     from repro.core.advisor import advise
     from repro.core.export import report_to_json
     configs = build_configs(args)
-    outcome = _session(args, configs).profile()
+    outcome = _session(configs).profile()
     if args.json:
         print(report_to_json(outcome.report))
         _write_obs_outputs(args, outcome)
@@ -699,10 +694,9 @@ def cmd_profile(args) -> int:
 
 def cmd_trace(args) -> int:
     configs = build_configs(args)
-    session = _session(args, configs)
-    profiled = (args.profile or args.period is not None
-                or args.detector is not None or args.adaptive)
-    outcome = session.profile() if profiled else session.run()
+    session = _session(configs)
+    outcome = (session.profile() if configs.request.profiled
+               else session.run())
     out = args.out or f"{args.workload}.trace.json"
     fmt = _trace_format(out, args.format)
     outcome.obs.write_trace(out, format=fmt)
@@ -729,10 +723,9 @@ def cmd_trace(args) -> int:
 
 def cmd_metrics(args) -> int:
     configs = build_configs(args)
-    session = _session(args, configs)
-    profiled = (args.profile or args.period is not None
-                or args.detector is not None or args.adaptive)
-    outcome = session.profile() if profiled else session.run()
+    session = _session(configs)
+    outcome = (session.profile() if configs.request.profiled
+               else session.run())
     if args.json:
         text = json.dumps(outcome.metrics, indent=2, sort_keys=True) + "\n"
     else:
@@ -760,7 +753,7 @@ def cmd_predict(args) -> int:
             "predict needs a workload name (or --validate to run the "
             "cross-validation harness)")
     configs = build_configs(args)
-    outcome = _session(args, configs).profile()
+    outcome = _session(configs).profile()
     result = outcome.result
     meta = result.metadata
     if args.json:
@@ -805,17 +798,11 @@ def cmd_predict(args) -> int:
 
 def cmd_fix_check(args) -> int:
     configs = build_configs(args)
-    cls = get_workload(args.workload)
-    kwargs = dict(num_threads=configs.workload_kwargs["num_threads"],
-                  scale=configs.workload_kwargs["scale"])
-    seed = configs.jitter_seed
-    original = cached_run(cls, jitter_seed=seed,
-                          machine_config=configs.machine, **kwargs)
-    fixed = cached_run(cls, fixed=True, jitter_seed=seed,
-                       machine_config=configs.machine, **kwargs)
-    profiled = cached_run(cls, jitter_seed=seed,
-                          machine_config=configs.machine,
-                          with_cheetah=True, **kwargs)
+    request = configs.request
+    unfixed = request.replace(fixed=False).session(check=configs.check)
+    original = unfixed.run()
+    fixed = request.replace(fixed=True).session(check=configs.check).run()
+    profiled = unfixed.profile()
     real = original.runtime / fixed.runtime
     best = profiled.report.best()
     if args.json:
@@ -848,16 +835,18 @@ def cmd_compare(args) -> int:
     machine = configs.machine
     # Observer runs must execute (their findings are read off the live
     # allocator); the native and Cheetah runs go through the cache.
-    native = cached_run(cls, jitter_seed=seed, machine_config=machine,
-                        **kwargs)
-    cheetah = cached_run(cls, jitter_seed=seed, machine_config=machine,
-                         with_cheetah=True, **kwargs)
+    session = configs.request.replace(fixed=False).session(
+        check=configs.check)
+    native = session.run()
+    cheetah = session.profile()
     predator = PredatorDetector(min_invalidations=40)
     predator_run = run_workload(cls(**kwargs), jitter_seed=seed,
-                                machine_config=machine, observer=predator)
+                                machine_config=machine, observer=predator,
+                                check=configs.check)
     sheriff = SheriffDetector()
     sheriff_run = run_workload(cls(**kwargs), jitter_seed=seed,
-                               machine_config=machine, observer=sheriff)
+                               machine_config=machine, observer=sheriff,
+                               check=configs.check)
 
     rows = [
         ("Cheetah", bool(cheetah.report.significant),
@@ -881,9 +870,9 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _write_experiment_obs(args, handle) -> None:
-    """Write per-run traces / aggregated metrics collected by a default
-    ObsConfig pushed around an experiment."""
+def _write_experiment_obs(args, handle: DefaultObs) -> None:
+    """Write per-run traces / aggregated metrics collected by the
+    ambient obs collector set around an experiment."""
     collected = handle.collected
     if not collected:
         print("note: no runs were observed", file=sys.stderr)
@@ -913,7 +902,7 @@ def _report_failures(result) -> None:
 
 def _report_cache(args, rendered: str) -> int:
     """Emit the experiment output plus the ambient service's cache stats."""
-    service = current_service()
+    service = current().service
     stats = service.stats() if service is not None else None
     if args.json:
         _print_json({"name": args.name, "render": rendered,
@@ -938,8 +927,8 @@ def cmd_experiment(args) -> int:
             print("note: --trace/--metrics force serial execution; "
                   "ignoring --jobs", file=sys.stderr)
             jobs = None
-        handle = push_default(configs.obs)
-    try:
+        handle = DefaultObs(configs.obs)
+    with using(obs=handle):
         if jobs and jobs > 1:
             runner = parallel.RUNNERS.get(args.name)
             if runner is None:
@@ -951,9 +940,6 @@ def cmd_experiment(args) -> int:
                 return _report_cache(args, result.render())
         result = EXPERIMENTS[args.name](args)
         rendered = result.render()
-    finally:
-        if handle is not None:
-            pop_default()
     if handle is not None:
         _write_experiment_obs(args, handle)
     return _report_cache(args, rendered)
@@ -1079,12 +1065,12 @@ COMMANDS = {
 
 @contextmanager
 def _maybe_service(args) -> Iterator[None]:
-    """Push an ambient run service for subcommands that simulate.
+    """Set the ambient run service for subcommands that simulate.
 
     Commands carrying the cache flags (run/profile/fix-check/compare/
     experiment) get a :class:`~repro.service.RunService` rooted at
     ``--cache-dir`` for the duration of the command; ``--no-cache``
-    pushes it disabled, so every run executes and nothing is stored.
+    sets it disabled, so every run executes and nothing is stored.
     """
     if not hasattr(args, "cache"):
         yield

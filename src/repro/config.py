@@ -191,7 +191,7 @@ def build_configs(args: Any) -> CLIConfigs:
         mode=mode,
         detector=get("detector"),
         adaptive=bool(get("adaptive", False)),
-        period=get("period") or None,
+        period=get("period"),
         true_sharing=bool(get("true_sharing", False)),
         line_size=line_size,
         cores=cores,

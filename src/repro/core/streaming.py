@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import ConfigBase
+from repro.context import current
 from repro.core.detection import DetectorConfig, FalseSharingDetector
 from repro.errors import ConfigError
-from repro.obs.hooks import current_finding_listeners
 from repro.pmu.sample import MemorySample
 
 
@@ -203,8 +203,7 @@ class StreamingDetector(FalseSharingDetector):
         self.findings.append(finding)
         if self.obs is not None:
             self.obs.on_streaming_finding(finding)
-        listeners = current_finding_listeners()
-        for listener in listeners:
+        for listener in current().listeners:
             listener(finding)
 
     def flush(self, now: int, force: bool = False) -> None:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple
 
+from repro.context import current
 from repro.experiments import comparison, detection, figure4, scaling, table1
 from repro.experiments.runner import (
     measure_overhead,
@@ -47,13 +48,7 @@ from repro.experiments.runner import (
 )
 from repro.run import DEFAULT_SEEDS
 from repro.pmu.sampler import PMUConfig
-from repro.service import (
-    JobFailure,
-    Scheduler,
-    ambient_cache_dir,
-    current_service,
-    open_worker_service,
-)
+from repro.service import JobFailure, Scheduler, open_worker_service
 from repro.workloads import FIGURE4_NAMES, get_workload
 
 #: Experiment names (as the CLI spells them) with a parallel runner.
@@ -69,8 +64,10 @@ def _map_cells(cell_fn, cells, jobs: int) -> List[Any]:
     process re-opens the shared result store; otherwise a plain
     scheduler with default resilience runs the cells.
     """
-    service = current_service()
-    initargs = (ambient_cache_dir(),)
+    context = current()
+    service = context.service
+    cache = context.cache
+    initargs = (str(cache.store.root) if cache is not None else None,)
     if service is not None:
         scheduler = service.make_scheduler(
             jobs, initializer=open_worker_service, initargs=initargs)

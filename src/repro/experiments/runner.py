@@ -1,48 +1,22 @@
-"""Experiment helpers over the canonical runner, plus a compatibility shim.
+"""Experiment helpers over the canonical runner.
 
-``run_workload``, ``RunOutcome`` and ``DEFAULT_SEEDS`` moved to
-:mod:`repro.run` (they are core machinery used by every layer, not
-experiment plumbing). Importing them from here still works but emits a
-:class:`DeprecationWarning` via the module ``__getattr__`` below.
-
-What legitimately lives here: the multi-seed measurement helpers behind
-Table 1 and Figure 4, and the fixed-width table formatter every
-experiment's ``render()`` shares.
+The multi-seed measurement helpers behind Table 1 and Figure 4, and the
+fixed-width table formatter every experiment's ``render()`` shares. The
+runner itself (``run_workload``, ``RunOutcome``, ``DEFAULT_SEEDS``) is
+:mod:`repro.run`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import statistics
-import warnings
-from typing import Any, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.profiler import CheetahConfig
 from repro.pmu.sampler import PMUConfig
 from repro.run import DEFAULT_SEEDS as _DEFAULT_SEEDS
 from repro.service import cached_run as _cached_run
 from repro.sim.params import MachineConfig
-
-# Old import path -> object now living in repro.run. Kept out of module
-# globals so PEP 562 __getattr__ fires for them.
-_MOVED_TO_RUN = ("run_workload", "RunOutcome", "DEFAULT_SEEDS")
-
-
-def __getattr__(name: str) -> Any:
-    if name in _MOVED_TO_RUN:
-        warnings.warn(
-            f"importing {name} from repro.experiments.runner is "
-            f"deprecated; use repro.run.{name} (or the repro top-level "
-            "re-export) instead",
-            DeprecationWarning, stacklevel=2)
-        import repro.run
-        return getattr(repro.run, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> List[str]:
-    return sorted(list(globals()) + list(_MOVED_TO_RUN))
 
 
 def measure_real_improvement(workload_cls, *, num_threads: int,

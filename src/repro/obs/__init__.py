@@ -11,17 +11,7 @@ See ``docs/observability.md`` for the trace schema and metric names.
 """
 
 from repro.obs.config import ObsConfig
-from repro.obs.hooks import (
-    DefaultObs,
-    Observability,
-    current_default,
-    current_finding_listeners,
-    finding_listener,
-    pop_default,
-    pop_finding_listener,
-    push_default,
-    push_finding_listener,
-)
+from repro.obs.hooks import DefaultObs, Observability
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -51,11 +41,4 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "aggregate_snapshots",
-    "current_default",
-    "current_finding_listeners",
-    "finding_listener",
-    "pop_default",
-    "pop_finding_listener",
-    "push_default",
-    "push_finding_listener",
 ]

@@ -13,19 +13,16 @@ without observability executes exactly the unmodified hot path.
 Timestamps passed into hooks are simulated clocks — the resulting trace
 and metrics are fully deterministic for a fixed seed.
 
-The module also keeps a small stack of *default* configurations
-(:func:`push_default` / :func:`current_default`): experiment drivers
-push an :class:`~repro.obs.config.ObsConfig` there so every
-``run_workload`` call underneath them gets its own per-run
+A :class:`DefaultObs` collector set as the ambient ``obs`` of the
+:class:`~repro.context.RunContext` (``with using(obs=DefaultObs(config))``)
+gives every ``run_workload`` call underneath it its own per-run
 :class:`Observability` without threading the parameter through each
 experiment's signature.
 """
 
 from __future__ import annotations
 
-import contextvars
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ObsError
 from repro.obs.config import ObsConfig
@@ -403,13 +400,14 @@ class Observability:
                            "(expected 'chrome' or 'jsonl')")
 
 
-# -- ambient default configuration ---------------------------------------------
+# -- ambient collector ---------------------------------------------------------
 
 
 class DefaultObs:
-    """Handle returned by :func:`push_default`.
+    """An ambient observability collector.
 
-    Holds the ambient :class:`ObsConfig` plus every per-run
+    Set with ``using(obs=DefaultObs(config))`` (:mod:`repro.context`);
+    holds the :class:`ObsConfig` plus every per-run
     :class:`Observability` built from it while it was active, so a driver
     (e.g. ``repro experiment --metrics``) can aggregate across the runs
     it triggered without threading a parameter through each experiment.
@@ -423,74 +421,3 @@ class DefaultObs:
         obs = Observability(self.config)
         self.collected.append(obs)
         return obs
-
-
-_DEFAULT_STACK: List[DefaultObs] = []
-
-
-def push_default(config: ObsConfig) -> DefaultObs:
-    """Make ``config`` the ambient default for nested ``run_workload``
-    calls (each run still builds its own :class:`Observability`)."""
-    handle = DefaultObs(config)
-    _DEFAULT_STACK.append(handle)
-    return handle
-
-
-def pop_default() -> DefaultObs:
-    if not _DEFAULT_STACK:
-        raise ObsError("pop_default called with no default ObsConfig pushed")
-    return _DEFAULT_STACK.pop()
-
-
-def current_default() -> Optional[DefaultObs]:
-    return _DEFAULT_STACK[-1] if _DEFAULT_STACK else None
-
-
-# -- context-local streaming-finding listeners -----------------------------------
-#
-# The serve daemon needs mid-run findings from the windowed detector
-# *without* attaching an Observability to the run — observed runs bypass
-# the result cache by design, and the daemon's whole point is cache-first
-# execution. Listeners live in a contextvars stack instead: per-thread
-# (each daemon worker runs jobs inline in its own thread), zero-cost when
-# empty, and invisible to the run's content-addressed identity. The
-# windowed detector calls every active listener alongside its obs hook.
-
-_FINDING_LISTENERS: contextvars.ContextVar[Tuple[Callable[[Any], None], ...]] \
-    = contextvars.ContextVar("repro_finding_listeners", default=())
-
-
-def current_finding_listeners() -> Tuple[Callable[[Any], None], ...]:
-    """The active listeners for this thread/context (usually empty)."""
-    return _FINDING_LISTENERS.get()
-
-
-def push_finding_listener(
-        listener: Callable[[Any], None]) -> contextvars.Token:
-    """Register ``listener`` for streaming findings in this context.
-
-    Returns the token for :func:`pop_finding_listener`. Each listener is
-    called with the live :class:`~repro.core.streaming.StreamingFinding`
-    the moment the windowed detector emits it.
-    """
-    if not callable(listener):
-        raise ObsError(
-            f"push_finding_listener expects a callable, got "
-            f"{type(listener).__name__}")
-    stack = _FINDING_LISTENERS.get()
-    return _FINDING_LISTENERS.set(stack + (listener,))
-
-
-def pop_finding_listener(token: contextvars.Token) -> None:
-    _FINDING_LISTENERS.reset(token)
-
-
-@contextmanager
-def finding_listener(
-        listener: Callable[[Any], None]) -> Iterator[Callable[[Any], None]]:
-    """``with finding_listener(fn): ...`` — scoped registration."""
-    token = push_finding_listener(listener)
-    try:
-        yield listener
-    finally:
-        pop_finding_listener(token)

@@ -1,10 +1,8 @@
 """Canonical entry point for running one (workload, configuration) pair.
 
-Historically this lived in :mod:`repro.experiments.runner`; it moved here
-because every layer — CLI, experiments, validation, benchmarks, the
+Every layer — CLI, experiments, validation, benchmarks, the
 :class:`repro.api.Session` facade — funnels through ``run_workload``,
-which makes it core machinery rather than experiment plumbing. The old
-import path still works via a deprecation shim.
+which makes it core machinery rather than experiment plumbing.
 
 The paper runs each application five times and reports averages
 (Section 4.1); experiment helpers do the same over deterministic seeds —
@@ -18,10 +16,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.context import current
 from repro.core.profiler import CheetahConfig, CheetahProfiler, CheetahReport
 from repro.errors import SchemaError
 from repro.heap.allocator import CheetahAllocator
-from repro.obs import ObsConfig, Observability, current_default
+from repro.obs import ObsConfig, Observability
 from repro.pmu.sampler import PMU, PMUConfig
 from repro.sim.engine import Engine, Observer, RunResult
 from repro.sim.machine import Machine
@@ -120,7 +119,7 @@ class RunOutcome:
     """Result of one workload run, optionally with a Cheetah report.
 
     When the run was observed (``obs`` passed to :func:`run_workload`, or
-    an ambient default pushed via :func:`repro.obs.push_default`), the
+    an ambient ``obs`` collector, see :mod:`repro.context`), the
     finalized :class:`~repro.obs.Observability` rides along and
     :attr:`metrics` exposes its registry snapshot.
 
@@ -353,8 +352,8 @@ def run_workload(workload: Workload, *,
     ``obs`` attaches the observability layer — pass an
     :class:`~repro.obs.ObsConfig` (a fresh per-run
     :class:`~repro.obs.Observability` is built from it) or an unwired
-    ``Observability`` instance. When ``None``, the ambient default pushed
-    via :func:`repro.obs.push_default` applies, if any.
+    ``Observability`` instance. When ``None``, the ambient ``obs``
+    collector (see :mod:`repro.context`) applies, if any.
     """
     config = machine_config or MachineConfig()
     if config.mode != "simulate":
@@ -369,7 +368,7 @@ def run_workload(workload: Workload, *,
         observability = (obs if isinstance(obs, Observability)
                          else Observability(obs))
     else:
-        default = current_default()
+        default = current().obs
         if default is not None:
             observability = default.new_observability()
     pmu = None

@@ -18,12 +18,13 @@ The pieces (see ``docs/service.md``):
 - :class:`Scheduler` / :class:`JobFailure` — dedupe, per-job timeout,
   bounded retry with backoff, graceful degradation;
 - :class:`RunService` — the front door tying them together;
-- an ambient service (:func:`push_service` / :func:`current_service`),
-  which is how the experiment helpers and :class:`repro.api.Session`
-  pick the cache up without threading a handle through every call.
+- the ambient service (``using_service(svc)``, the ``service`` of the
+  :class:`~repro.context.RunContext`), which is how the experiment
+  helpers and :class:`repro.api.Session` pick the cache up without
+  threading a handle through every call.
 
-Observed runs (an ambient :func:`repro.obs.push_default` collector)
-always bypass the cache: their purpose is to watch a simulation happen.
+Observed runs (an ambient ``obs`` collector in the run context) always
+bypass the cache: their purpose is to watch a simulation happen.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
+from repro.context import current, install, using
 from repro.errors import ServiceError
 from repro.obs import MetricsRegistry
-from repro.obs import current_default as _obs_default
 from repro.run import RunOutcome, run_workload
 from repro.service.scheduler import JobFailure, Scheduler
 from repro.service.spec import (
@@ -55,10 +56,7 @@ __all__ = [
     "cached_run",
     "canonical_json",
     "content_key",
-    "current_service",
     "default_cache_dir",
-    "pop_service",
-    "push_service",
     "spec_for_workload_cls",
     "using_service",
 ]
@@ -133,8 +131,9 @@ class RunService:
         """The outcome for ``spec``: from cache when possible, else run.
 
         ``force`` re-executes even on a hit (and refreshes the entry).
-        An active ambient observability default bypasses the cache
-        entirely — observed runs exist to be watched, not replayed.
+        An ambient ``obs`` collector (see :mod:`repro.context`) bypasses
+        the cache entirely — observed runs exist to be watched, not
+        replayed.
         ``execute`` runs the spec whenever the store does not serve it
         (default :meth:`RunSpec.execute`, in this process); the serve
         daemon passes one that simulates in its worker process.
@@ -145,7 +144,7 @@ class RunService:
                 f"{type(spec).__name__}")
         if execute is None:
             execute = RunSpec.execute
-        if _obs_default() is not None:
+        if current().obs is not None:
             self._runs.inc(label_value="bypassed")
             return execute(spec)
         if not self.enabled:
@@ -211,7 +210,7 @@ class RunService:
         results: List[Any] = [None] * len(specs)
         keys = [spec.key() for spec in specs]
         pending: List[int] = []
-        use_cache = self.enabled and _obs_default() is None
+        use_cache = self.enabled and current().obs is None
         for index, key in enumerate(keys):
             cached = self.store.get(key) if use_cache else None
             if cached is not None:
@@ -265,50 +264,12 @@ def _execute_spec_payload(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
 
 # -- ambient service ---------------------------------------------------------
 
-_SERVICE_STACK: List[RunService] = []
-
-
-def current_service() -> Optional[RunService]:
-    """The innermost pushed service, or None (caching off)."""
-    return _SERVICE_STACK[-1] if _SERVICE_STACK else None
-
-
-def push_service(service: RunService) -> RunService:
-    """Make ``service`` ambient until the matching :func:`pop_service`."""
-    if not isinstance(service, RunService):
-        raise ServiceError(
-            f"push_service expects a RunService, got "
-            f"{type(service).__name__}")
-    _SERVICE_STACK.append(service)
-    return service
-
-
-def pop_service() -> RunService:
-    if not _SERVICE_STACK:
-        raise ServiceError("pop_service: no service is pushed")
-    return _SERVICE_STACK.pop()
-
-
 @contextmanager
 def using_service(service: RunService) -> Iterator[RunService]:
-    """``with using_service(svc): ...`` — scoped ambient service."""
-    push_service(service)
-    try:
+    """``with using_service(svc): ...`` — ``using(service=svc)`` (see
+    :mod:`repro.context`), yielding the service."""
+    with using(service=service):
         yield service
-    finally:
-        pop_service()
-
-
-def ambient_cache_dir() -> Optional[str]:
-    """Store root of the ambient service when caching is live, else None.
-
-    This is what parallel experiment runners hand to worker-process
-    initializers so cells in other processes share the same store.
-    """
-    service = current_service()
-    if service is None or not service.enabled:
-        return None
-    return str(service.store.root)
 
 
 def open_worker_service(cache_dir: Optional[str]) -> None:
@@ -321,7 +282,7 @@ def open_worker_service(cache_dir: Optional[str]) -> None:
     """
     if cache_dir is None:
         return
-    push_service(RunService(cache_dir=cache_dir))
+    install(service=RunService(cache_dir=cache_dir))
 
 
 # -- the one helper every experiment funnels through -------------------------
@@ -334,13 +295,13 @@ def cached_run(workload_cls, *, num_threads: Optional[int] = None,
     """Run a registry workload through the ambient service, if any.
 
     Drop-in for the ``run_workload(workload_cls(...), ...)`` pattern the
-    experiment helpers use. With no ambient service, a non-canonical
-    workload class (subclass or unregistered), or an active ambient
-    observability default, this is exactly a direct
-    :func:`~repro.run.run_workload` call.
+    experiment helpers use. Without an ambient cache
+    (:attr:`RunContext.cache <repro.context.RunContext.cache>`), or for
+    a non-canonical workload class (subclass or unregistered), this is
+    exactly a direct :func:`~repro.run.run_workload` call.
     """
-    service = current_service()
-    if service is not None and service.enabled and _obs_default() is None:
+    service = current().cache
+    if service is not None:
         spec = spec_for_workload_cls(
             workload_cls, num_threads=num_threads, scale=scale, fixed=fixed,
             seed=seed, jitter_seed=jitter_seed, with_cheetah=with_cheetah,

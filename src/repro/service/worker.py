@@ -38,8 +38,8 @@ from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 from typing import Any, Callable, Dict, Optional
 
+from repro.context import install
 from repro.errors import ReproError, ServiceError
-from repro.obs import push_finding_listener
 from repro.run import RunOutcome
 from repro.service.spec import RunSpec
 
@@ -220,8 +220,8 @@ def _serve(conn: Connection) -> None:
     # blocked (from the start, see WorkerProcess._checkout).
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-    push_finding_listener(
-        lambda finding: conn.send(("finding", finding.to_dict())))
+    install(listeners=(
+        lambda finding: conn.send(("finding", finding.to_dict())),))
     while True:
         try:
             payload = conn.recv()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import profile
+from repro import Session
 from repro.core.advisor import PaddingAdvice, advise, infer_stride, thread_extents
 from repro.core.assessment import Assessment
 from repro.core.detection import ObjectProfile, SharingKind
@@ -89,16 +89,16 @@ class TestAdvice:
 class TestOnRealReports:
     def test_linear_regression_advice_matches_paper_fix(self):
         # The paper pads lreg_args (56 bytes) to a full 64-byte line.
-        _, report = profile(LinearRegression(num_threads=16),
-                            pmu_config=PMUConfig(period=64))
+        report = Session(LinearRegression(num_threads=16),
+                         pmu=PMUConfig(period=64)).report()
         advice = advise(report.best())
         assert advice.inferred_stride == 56
         assert advice.recommended_stride == 64
 
     def test_streamcluster_advice_matches_paper_fix(self):
         # 32-byte slots -> pad to 64 (the fix evaluated in Table 1).
-        _, report = profile(StreamCluster(num_threads=16),
-                            pmu_config=PMUConfig(period=32))
+        report = Session(StreamCluster(num_threads=16),
+                         pmu=PMUConfig(period=32)).report()
         instances = report.false_sharing_instances()
         assert instances
         advice = advise(instances[0])

@@ -1,4 +1,4 @@
-"""The Session facade, config conventions, re-exports and shims."""
+"""The Session facade, config conventions and re-exports."""
 
 import argparse
 import warnings
@@ -176,16 +176,9 @@ class TestReexports:
 
 
 class TestDeprecationShims:
-    def test_moved_names_warn_and_alias(self):
-        import repro.experiments.runner as runner
-        for name in ("run_workload", "RunOutcome", "DEFAULT_SEEDS"):
-            with pytest.warns(DeprecationWarning, match="repro.run"):
-                value = getattr(runner, name)
-            assert value is getattr(repro.run, name)
-
-    def test_moved_names_listed_in_dir(self):
-        import repro.experiments.runner as runner
-        assert "run_workload" in dir(runner)
+    """The runner module's own names after its moved-name shim was
+    retired (``tests/test_public_api.py::TestRetiredNames`` pins that
+    the moved names are gone)."""
 
     def test_unknown_attribute_still_raises(self):
         import repro.experiments.runner as runner

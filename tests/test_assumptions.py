@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro import CheetahProfiler, Engine, MachineConfig, PMU, PMUConfig
+from repro.core.profiler import CheetahProfiler
+from repro.pmu.sampler import PMU, PMUConfig
+from repro.sim.engine import Engine
+from repro.sim.params import MachineConfig
 from repro.errors import SimulationError
 from repro.experiments import assumptions
 from repro.heap.allocator import CheetahAllocator

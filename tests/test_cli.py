@@ -80,6 +80,15 @@ class TestProfile:
 
 
 class TestTrace:
+    @pytest.mark.parametrize("command", ["trace", "metrics", "profile"])
+    def test_zero_period_is_refused(self, command):
+        # The flag reaches the RunRequest as given, so an invalid period
+        # is an error rather than a silently dropped flag.
+        from repro.errors import ConfigError
+        with pytest.raises(ConfigError, match="period"):
+            main([command, "array_increment", "--period", "0",
+                  "--scale", "0.1"])
+
     def test_trace_writes_chrome_file(self, tmp_path, capsys):
         out = tmp_path / "t.trace.json"
         assert main(["trace", "array_increment", "--threads", "2",
@@ -187,6 +196,47 @@ class TestCompare:
         out = capsys.readouterr().out
         for tool in ("Cheetah", "Predator", "Sheriff"):
             assert tool in out
+
+
+class TestCheckFlag:
+    """``--check`` reaches every machine a workload command builds."""
+
+    @pytest.fixture
+    def check_flags(self, monkeypatch):
+        """The ``check`` argument of each Machine run_workload builds."""
+        import repro.run
+        flags = []
+
+        class RecordingMachine(repro.run.Machine):
+            def __init__(self, *args, check=False, **kwargs):
+                flags.append(check)
+                super().__init__(*args, check=check, **kwargs)
+
+        monkeypatch.setattr(repro.run, "Machine", RecordingMachine)
+        return flags
+
+    def test_fix_check_sanitizes_all_three_runs(self, check_flags,
+                                                tmp_path, capsys):
+        main(["fix-check", "array_increment", "--threads", "2",
+              "--scale", "0.1", "--check", "--cache-dir", str(tmp_path)])
+        assert "real improvement:" in capsys.readouterr().out
+        assert check_flags == [True, True, True]
+
+    def test_compare_sanitizes_all_four_runs(self, check_flags, tmp_path,
+                                             capsys):
+        assert main(["compare", "array_increment", "--threads", "2",
+                     "--scale", "0.1", "--check",
+                     "--cache-dir", str(tmp_path)]) == 0
+        assert "Sheriff" in capsys.readouterr().out
+        assert check_flags == [True, True, True, True]
+
+    def test_record_refuses_check(self, check_flags, tmp_path, capsys):
+        out = tmp_path / "a.trace.gz"
+        assert main(["record", "array_increment", "--threads", "2",
+                     "--scale", "0.1", "--check", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--check" in err
+        assert check_flags == [] and not out.exists()
 
 
 class TestExperiment:

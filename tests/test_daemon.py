@@ -16,7 +16,9 @@ import urllib.request
 import pytest
 
 from repro.cli import main as cli_main
+from repro.context import using
 from repro.errors import ConfigError, ReproError, ServiceError
+from repro.obs import DefaultObs, ObsConfig
 from repro.request import RunRequest
 from repro.service import RunService
 from repro.service.daemon import Daemon, ServeConfig
@@ -74,6 +76,30 @@ class Client:
                 f"{self.base}/v1/jobs/{job_id}/events", timeout=60) as resp:
             assert resp.headers["Content-Type"] == "application/x-ndjson"
             return [json.loads(line) for line in resp if line.strip()]
+
+
+class TestContextIsolation:
+    def test_jobs_ignore_the_starting_threads_obs(self, tmp_path):
+        """Worker threads start from an empty run context: an obs
+        collector set where the daemon was started neither observes its
+        jobs nor turns them away from the cache."""
+        handle = DefaultObs(ObsConfig(trace=False))
+        with using(obs=handle):
+            d = Daemon(ServeConfig(
+                port=0, workers=2, cache_dir=str(tmp_path / "cache"),
+                sink_dir=str(tmp_path / "sink"),
+                drain_timeout=10.0)).start()
+            try:
+                client = Client(d)
+                _, first, _ = client.submit(NATIVE)
+                cold = client.wait(first["id"])
+                _, second, _ = client.submit(NATIVE)
+                warm = client.wait(second["id"])
+            finally:
+                d.shutdown()
+        assert cold["cached"] is False and warm["cached"] is True
+        assert d.service.stats()["runs"] == {"executed": 1, "hit": 1}
+        assert handle.collected == []
 
 
 class TestJobLifecycle:

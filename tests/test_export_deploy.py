@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro import Engine, MachineConfig, PMU, PMUConfig
+from repro.pmu.sampler import PMU, PMUConfig
+from repro.sim.engine import Engine
+from repro.sim.params import MachineConfig
 from repro.core.deploy import handle_sample, setup_sampling
 from repro.core.export import instance_to_dict, report_to_dict, report_to_json
 from repro.heap.allocator import CheetahAllocator

@@ -1,11 +1,8 @@
-"""Tests for the top-level package facade (repro.profile / run_plain)."""
-
-import pytest
+"""Tests for the top-level package facade: ``repro.Session`` over bare
+generator functions, workload objects and custom configs."""
 
 import repro
-from repro import (
-    CheetahConfig, MachineConfig, PMUConfig, profile, run_plain,
-)
+from repro import CheetahConfig, MachineConfig, PMUConfig, Session
 from repro.workloads.micro import ArrayIncrement
 
 
@@ -21,37 +18,39 @@ def tiny_fs_program(api):
 
 
 class TestRunPlain:
+    """Native runs (``Session.run``)."""
+
     def test_accepts_bare_generator_function(self):
-        result = run_plain(tiny_fs_program)
+        result = Session(tiny_fs_program).run().result
         assert result.runtime > 0
 
     def test_accepts_workload_object(self):
-        result = run_plain(ArrayIncrement(num_threads=2, scale=0.1))
+        result = Session(ArrayIncrement(num_threads=2, scale=0.1)).run().result
         assert result.runtime > 0
 
     def test_custom_machine_config(self):
         cfg = MachineConfig(cache_line_size=32)
-        result = run_plain(tiny_fs_program, machine_config=cfg)
+        result = Session(tiny_fs_program, machine=cfg).run().result
         assert result.machine.config.cache_line_size == 32
 
     def test_workload_globals_are_defined(self):
         from repro.workloads.phoenix import Histogram
-        result = run_plain(Histogram(num_threads=4, scale=0.05))
+        result = Session(Histogram(num_threads=4, scale=0.05)).run().result
         assert result.symbols.lookup("thread_stats") is not None
 
 
 class TestProfileFacade:
+    """Profiled runs (``Session.profile``)."""
+
     def test_returns_result_and_report(self):
-        result, report = profile(tiny_fs_program,
-                                 pmu_config=PMUConfig(period=16))
-        assert result.runtime > 0
-        assert report.significant
+        outcome = Session(tiny_fs_program, pmu=PMUConfig(period=16)).profile()
+        assert outcome.result.runtime > 0
+        assert outcome.report.significant
 
     def test_custom_cheetah_config_respected(self):
         cfg = CheetahConfig(min_improvement=1e9)
-        result, report = profile(tiny_fs_program,
-                                 pmu_config=PMUConfig(period=16),
-                                 cheetah_config=cfg)
+        report = Session(tiny_fs_program, pmu=PMUConfig(period=16),
+                         cheetah=cfg).report()
         assert report.significant == []
 
     def test_version_exposed(self):
@@ -77,8 +76,8 @@ class TestLineSizeThroughFacade:
             yield from api.join(t2)
         cfg64 = MachineConfig(cache_line_size=64)
         cfg32 = MachineConfig(cache_line_size=32)
-        r64 = run_plain(spaced, machine_config=cfg64)
-        r32 = run_plain(spaced, machine_config=cfg32)
+        r64 = Session(spaced, machine=cfg64).run().result
+        r32 = Session(spaced, machine=cfg32).run().result
         assert r64.machine.directory.total_invalidations() > 100
         assert r32.machine.directory.total_invalidations() == 0
         assert r32.runtime < r64.runtime

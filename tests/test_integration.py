@@ -3,7 +3,7 @@ reduced scale."""
 
 import pytest
 
-from repro import CheetahConfig, profile, run_plain
+from repro import Session
 from repro.baselines.predator import PredatorDetector
 from repro.core.detection import SharingKind
 from repro.run import run_workload
@@ -25,16 +25,16 @@ class TestLinearRegressionCaseStudy:
     """Section 4.2.1: the flagship detection + assessment story."""
 
     def test_detected_with_exact_callsite(self):
-        result, report = profile(LinearRegression(num_threads=8, scale=0.5),
-                                 pmu_config=FAST_PMU)
+        report = Session(LinearRegression(num_threads=8, scale=0.5),
+                         pmu=FAST_PMU).report()
         assert report.significant
         best = report.best()
         assert best.profile.label == LINEAR_REGRESSION_CALLSITE
         assert best.kind is SharingKind.FALSE_SHARING
 
     def test_word_level_breakdown_shows_disjoint_threads(self):
-        result, report = profile(LinearRegression(num_threads=8, scale=0.5),
-                                 pmu_config=FAST_PMU)
+        report = Session(LinearRegression(num_threads=8, scale=0.5),
+                         pmu=FAST_PMU).report()
         words = report.best().profile.word_summary
         assert len(words) >= 10  # several struct fields observed
         multi_tid_words = [w for w in words.values() if len(w["tids"]) > 1]
@@ -45,12 +45,12 @@ class TestLinearRegressionCaseStudy:
     def test_prediction_within_tolerance_of_real_fix(self):
         # Table 1's property at test scale: the per-run prediction lands
         # near the measured improvement of actually applying the fix.
-        orig = run_plain(LinearRegression(num_threads=8, scale=0.5))
-        fixed = run_plain(
-            LinearRegression(num_threads=8, scale=0.5, fixed=True))
+        orig = Session(LinearRegression(num_threads=8, scale=0.5)).run()
+        fixed = Session(
+            LinearRegression(num_threads=8, scale=0.5, fixed=True)).run()
         real = orig.runtime / fixed.runtime
-        result, report = profile(LinearRegression(num_threads=8, scale=0.5),
-                                 pmu_config=FAST_PMU)
+        report = Session(LinearRegression(num_threads=8, scale=0.5),
+                         pmu=FAST_PMU).report()
         predicted = report.best().improvement
         assert predicted == pytest.approx(real, rel=0.35)
         assert predicted > 2.0
@@ -58,8 +58,8 @@ class TestLinearRegressionCaseStudy:
     def test_points_object_not_reported(self):
         # The read-only points buffer shares lines across nothing: only
         # tid_args may be reported.
-        result, report = profile(LinearRegression(num_threads=8, scale=0.5),
-                                 pmu_config=FAST_PMU)
+        report = Session(LinearRegression(num_threads=8, scale=0.5),
+                         pmu=FAST_PMU).report()
         labels = {r.profile.label for r in report.significant}
         assert labels == {LINEAR_REGRESSION_CALLSITE}
 
@@ -71,7 +71,7 @@ class TestFigure7Story:
                                       "word_count"])
     def test_cheetah_misses_negligible_fs(self, name):
         cls = get_workload(name)
-        result, report = profile(cls(num_threads=16, scale=0.5))
+        report = Session(cls(num_threads=16, scale=0.5)).report()
         assert report.significant == []
 
     @pytest.mark.parametrize("name", ["histogram", "reverse_index",
@@ -116,7 +116,7 @@ class TestAllocatorAblation:
         assert result.machine.directory.total_invalidations() > 100
 
     def test_cheetah_allocator_prevents_it(self):
-        result = run_plain(self._program)
+        result = Session(self._program).run().result
         assert result.machine.directory.total_invalidations() == 0
 
     def test_runtime_gap_between_allocators(self):
@@ -125,7 +125,7 @@ class TestAllocatorAblation:
                              machine=Machine(config, jitter_seed=1),
                              allocator=BumpAllocator(line_size=64))
         bump_rt = bump_engine.run(self._program).runtime
-        hoard_rt = run_plain(self._program).runtime
+        hoard_rt = Session(self._program).run().runtime
         assert bump_rt > hoard_rt * 1.5
 
 

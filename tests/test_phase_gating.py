@@ -82,10 +82,9 @@ class TestParallelPhaseGating:
         assert gated_fraction < shared_fraction
 
     def test_online_profiler_gates_automatically(self):
-        from repro import profile as cheetah_profile
         from repro.pmu.sampler import PMUConfig
-        result, report = cheetah_profile(InitThenShare(),
-                                         pmu_config=PMUConfig(period=8))
+        report = run_workload(InitThenShare(), pmu_config=PMUConfig(period=8),
+                              with_cheetah=True).report
         assert report.significant
         best = report.best()
         assert best.kind is SharingKind.FALSE_SHARING

@@ -3,8 +3,8 @@
 These tests are the API contract: a change that adds to, removes from,
 or renames anything in ``repro.__all__`` must bump ``__api_version__``
 and edit the expected set here *deliberately*. Everything outside the
-surface is reachable only through its defining submodule (or, for the
-pre-v1 names, through a DeprecationWarning shim).
+surface is reachable only through its defining submodule; the retired
+pre-v1 names no longer resolve at all.
 
 v2 is a strict superset of v1: ``test_v1_names_survive`` guards the
 compatibility promise that nothing a v1 caller imported ever goes away
@@ -53,11 +53,15 @@ WORKLOAD_API_NAMES = {
     "GroundTruth", "Verdict", "Workload", "get_workload", "iter_workloads",
 }
 
-#: Pre-v1 names that still import, but only through the deprecation shim.
+#: Pre-v1 names the package root used to resolve through a deprecation
+#: shim; they are retired (docs/api.md names each replacement).
 DEPRECATED_NAMES = (
     "profile", "run_plain", "Engine", "RunResult", "PMU",
     "CheetahProfiler", "SymbolTable", "Observability", "CheetahAllocator",
 )
+
+#: Names ``repro.experiments.runner`` used to alias from ``repro.run``.
+RUNNER_MOVED_NAMES = ("run_workload", "RunOutcome", "DEFAULT_SEEDS")
 
 
 class TestFrozenSurface:
@@ -88,38 +92,27 @@ class TestFrozenSurface:
         with pytest.raises(AttributeError, match="no attribute"):
             repro.definitely_not_an_api
 
-    def test_dir_lists_surface_and_shims(self):
+    def test_dir_lists_surface(self):
         listing = dir(repro)
-        for name in V2_SURFACE | WORKLOAD_API_NAMES | set(DEPRECATED_NAMES):
+        for name in V2_SURFACE | WORKLOAD_API_NAMES:
             assert name in listing
 
 
-class TestDeprecatedShims:
-    @pytest.mark.parametrize("name", DEPRECATED_NAMES)
-    def test_shim_warns_and_resolves(self, name):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = getattr(repro, name)
-        assert value is not None
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-
-    def test_shim_resolves_to_real_object(self):
+class TestRetiredNames:
+    def test_retired_names_are_gone(self):
+        """Each retired shim name raises AttributeError (no warning, no
+        fallback) and is missing from ``dir()``."""
+        import repro.experiments.runner as runner
+        retired = ([(repro, name) for name in DEPRECATED_NAMES]
+                   + [(runner, name) for name in RUNNER_MOVED_NAMES])
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            from repro.sim.engine import Engine
-            assert repro.Engine is Engine
-            from repro.obs import Observability
-            assert repro.Observability is Observability
-
-    def test_profile_shim_still_works(self):
-        from repro.workloads.micro import ArrayIncrement
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result, report = repro.profile(
-                ArrayIncrement(num_threads=2, scale=0.1))
-        assert result.runtime > 0
-        assert report is not None
+            warnings.simplefilter("error", DeprecationWarning)
+            for module, name in retired:
+                with pytest.raises(AttributeError):
+                    getattr(module, name)
+                assert name not in dir(module), (module.__name__, name)
+        for module in (repro, runner):
+            assert "__getattr__" not in vars(module)
 
 
 class TestV2Names:

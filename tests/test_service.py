@@ -8,8 +8,9 @@ import pytest
 
 import repro.api
 from repro.api import Session
+from repro.context import current, using
 from repro.errors import ServiceError
-from repro.obs import ObsConfig, pop_default, push_default
+from repro.obs import DefaultObs, ObsConfig
 from repro.run import RunOutcome, RunSummary
 from repro.service import (
     JobFailure,
@@ -17,9 +18,6 @@ from repro.service import (
     RunSpec,
     cached_run,
     content_key,
-    current_service,
-    pop_service,
-    push_service,
     spec_for_workload_cls,
     using_service,
 )
@@ -109,12 +107,11 @@ class TestRunService:
 
     def test_ambient_obs_default_bypasses_cache(self, tmp_path):
         service = _service(tmp_path)
-        push_default(ObsConfig(trace=False))
-        try:
+        with using(obs=DefaultObs(ObsConfig(trace=False))) as context:
             outcome = service.run(SPEC)
-        finally:
-            pop_default()
         assert outcome.obs is not None  # the run was actually observed
+        assert context.obs.collected == [outcome.obs]
+        assert current().obs is None  # the scope restored the context
         assert service.stats()["entries"] == 0
         assert service.stats()["runs"] == {"bypassed": 1}
 
@@ -161,17 +158,27 @@ class TestCachedRun:
                               jitter_seed=7)
         assert warm.from_cache and warm.runtime == cold.runtime
         assert service.stats()["runs"] == {"executed": 1, "hit": 1}
-        assert current_service() is None  # context manager popped it
+        assert current().service is None  # the scope restored it
 
     def test_push_pop_discipline(self, tmp_path):
+        """Scopes nest and unwind, exceptions included; a non-service
+        is refused before anything changes."""
         with pytest.raises(ServiceError):
-            pop_service()
+            with using(service="not a service"):
+                pass
         with pytest.raises(ServiceError):
-            push_service("not a service")
-        service = _service(tmp_path)
-        push_service(service)
-        assert current_service() is service
-        assert pop_service() is service
+            with using_service("not a service"):
+                pass
+        assert current().service is None
+        outer, inner = _service(tmp_path), _service(tmp_path)
+        with using_service(outer) as pushed:
+            assert pushed is outer and current().service is outer
+            with pytest.raises(RuntimeError):
+                with using(service=inner):
+                    assert current().service is inner
+                    raise RuntimeError("unwinds the inner scope")
+            assert current().service is outer
+        assert current().service is None
 
 
 class TestSessionContentHash:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import profile
+from repro import Session
 from repro.core.detection import SharingKind
 from repro.errors import ConfigError
 from repro.run import run_workload
@@ -18,8 +18,10 @@ FAST_PMU = PMUConfig(period=32)
 
 
 def profile_pattern(pattern, **kwargs):
+    """(run result, report) of one profiled synthetic pattern."""
     wl = SyntheticSharing(pattern=pattern, **kwargs)
-    return profile(wl, pmu_config=FAST_PMU)
+    outcome = Session(wl, pmu=FAST_PMU).profile()
+    return outcome.result, outcome.report
 
 
 class TestPatterns:
