@@ -495,6 +495,13 @@ def cmd_workloads(args) -> int:
     return 0
 
 
+def _refuse(command: str, message: object) -> int:
+    """A flag the command cannot honour is an operator error: one
+    diagnostic line and exit 2, as for a bad 'repro serve' knob."""
+    print(f"repro {command}: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_record(args) -> int:
     from repro.errors import ConfigError
     from repro.trace import record_workload, save_trace
@@ -505,10 +512,7 @@ def cmd_record(args) -> int:
                 "--check is not supported: the recorder runs no coherence "
                 "sanitizer; sanitize the run with 'repro run --check'")
     except ConfigError as exc:
-        # A flag the command cannot honour is an operator error: one
-        # diagnostic line and exit 2, as for a bad 'repro serve' knob.
-        print(f"repro record: {exc}", file=sys.stderr)
-        return 2
+        return _refuse("record", exc)
     cls = get_workload(args.workload)
     workload = cls(**configs.workload_kwargs)
     recorder, meta = record_workload(
@@ -797,6 +801,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_fix_check(args) -> int:
+    if args.fixed:
+        return _refuse("fix-check", "--fixed is not supported: fix-check "
+                       "always runs both the original and the padded layout")
     configs = build_configs(args)
     request = configs.request
     unfixed = request.replace(fixed=False).session(check=configs.check)
@@ -827,6 +834,9 @@ def cmd_fix_check(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.fixed:
+        return _refuse("compare", "--fixed is not supported: compare runs "
+                       "every tool on the original layout")
     configs = build_configs(args)
     cls = get_workload(args.workload)
     kwargs = dict(num_threads=configs.workload_kwargs["num_threads"],

@@ -40,7 +40,7 @@ from repro.core.profiler import CheetahConfig
 from repro.errors import ConfigError
 from repro.pmu.adaptive import AdaptiveConfig
 from repro.pmu.sampler import PMUConfig
-from repro.sim.params import MachineConfig, check_cycles
+from repro.sim.params import MachineConfig, check_cycles, check_jitter_seed
 
 _KERNELS = ("fused", "vector", "auto")
 _MODES = ("simulate", "predict", "sampled")
@@ -120,6 +120,7 @@ class RunRequest(ConfigBase):
             raise ConfigError(
                 f"detector must be one of {_DETECTORS}, "
                 f"got {self.detector!r}")
+        check_jitter_seed(self.jitter_seed)
         if self.threads is not None and self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.scale <= 0:

@@ -35,7 +35,7 @@ from repro.core.profiler import CheetahConfig
 from repro.errors import ServiceError
 from repro.pmu.sampler import PMUConfig
 from repro.run import SCHEMA_VERSION, RunOutcome, run_workload
-from repro.sim.params import MachineConfig
+from repro.sim.params import MachineConfig, check_jitter_seed
 from repro.workloads import get_workload
 
 
@@ -76,6 +76,7 @@ class RunSpec:
             raise ServiceError(
                 "RunSpec.workload must be a registry name (a non-empty "
                 f"string), got {self.workload!r}")
+        check_jitter_seed(self.jitter_seed)
 
     # -- hashing -------------------------------------------------------------
 

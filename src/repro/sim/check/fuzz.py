@@ -26,6 +26,12 @@ Execution paths diffed per spec:
 Specs may carry a ``checkpoints`` list of cycle numbers; the fired
 ``(cycle, now)`` pairs join the fingerprint, pinning quantum boundaries
 (every loop must pause at a checkpoint-bounded limit on the same step).
+
+Specs may also carry ``jitter_lead``: a program reads far fewer jitter
+draws than one chunk of the bulk stream (``repro.sim.jitter.CHUNK``),
+so before it starts, core 0 reads a private line until only
+``jitter_lead`` draws are left in the first chunk. The chunk boundary
+then falls inside the program, on whichever path reaches it.
 """
 
 from __future__ import annotations
@@ -38,11 +44,15 @@ from typing import Dict, List, Optional
 from repro.heap.allocator import CheetahAllocator
 from repro.pmu.sampler import PMU, PMUConfig
 from repro.sim.engine import Engine, Observer
+from repro.sim.jitter import CHUNK
 from repro.sim.machine import Machine
 from repro.sim.params import MachineConfig
 
 _BUFFER_SIZES = (64, 128, 256, 512, 1024, 4096)
 _STRIDES = (0, 4, 8, 16, 64)
+#: The line the jitter lead-in reads: below the heap, so no program
+#: object shares it.
+_LEAD_IN_ADDR = 0x1000
 
 
 class _NullObserver(Observer):
@@ -117,6 +127,9 @@ def generate_spec(seed: int) -> Dict:
     spec["checkpoints"] = (
         sorted(rng.randint(50, 20000) for _ in range(rng.randint(1, 3)))
         if rng.random() < 0.4 else [])
+    # Drawn last for the same reason. Draws left in the first jitter
+    # chunk when the program starts (see the module docstring).
+    spec["jitter_lead"] = rng.randint(1, 256)
     return spec
 
 
@@ -204,6 +217,9 @@ def run_spec(spec: Dict, *, observed: bool = False, check: bool = False,
                       jitter_seed=spec["jitter_seed"],
                       transfer_window=spec["transfer_window"],
                       check=check)
+    if spec["jitter"]:
+        for _ in range(CHUNK - spec.get("jitter_lead", CHUNK)):
+            machine.access_tuple(0, _LEAD_IN_ADDR, False, 0)
     pmu_obj = (PMU(PMUConfig(period=spec["pmu_period"]))
                if pmu else None)
     engine = Engine(config=config, machine=machine, pmu=pmu_obj,

@@ -21,8 +21,6 @@ from repro.sim.engine import Engine
 from repro.sim.machine import Machine
 from repro.sim.params import MachineConfig
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
 
 class BrokenFastPathMachine(Machine):
     """Machine with one corrupted private-HIT predicate.
@@ -45,12 +43,13 @@ class BrokenFastPathMachine(Machine):
             if state is not None and core in state.holders:
                 latency = self._hit_cost
                 if self._jitter:
-                    jstate = self._jitter_state
-                    jstate ^= (jstate << 13) & _MASK64
-                    jstate ^= jstate >> 7
-                    jstate ^= (jstate << 17) & _MASK64
-                    self._jitter_state = jstate
-                    latency += jstate % (self._jitter + 1)
+                    pos = self._jit_pos
+                    try:
+                        latency += self._jit[pos]
+                    except IndexError:
+                        latency += self.next_jitter_chunk()[0]
+                        pos = 0
+                    self._jit_pos = pos + 1
                 self.total_accesses += 1
                 self.total_cycles += latency
                 return latency, "hit", line

@@ -9,9 +9,10 @@ its private-HIT fast path) and is then cross-checked:
    (PREFETCHED is accepted where the oracle says COLD/SHARED_CLEAN,
    since prefetching is a latency remap, not a coherence transition);
 2. **latency** — reconstructed exactly from the tag's base cost, a
-   mirrored jitter draw and the pin-table stall; any fast path that
-   skipped or double-consumed a jitter draw diverges here
-   (jitter-stream conservation);
+   jitter draw from a serial xorshift mirror of the machine's bulk
+   stream and the pin-table stall; a wrong draw diverges here, and any
+   path that skipped or double-consumed a draw also diverges from the
+   mirror's draw count (jitter-stream conservation);
 3. **directory state** — holders, dirty owner, the exclusive-owner
    mirror map and invalidation counts must equal the oracle's, and the
    single-writer/multiple-reader invariant must hold;
@@ -52,9 +53,12 @@ class CoherenceSanitizer:
         self.machine = machine
         self.oracle = ReferenceMESI()
         self._trace = deque(maxlen=_TRACE_DEPTH)
-        # Mirror of the machine's xorshift jitter stream: advanced once
-        # per access, so a path consuming zero or two draws is caught.
-        self._mirror_jitter = machine._jitter_state
+        # Serial mirror of the machine's jitter stream, the reference for
+        # its bulk chunks: advanced once per access, with a count, so a
+        # path consuming zero or two draws, or reading a wrong one, is
+        # caught.
+        self._mirror_jitter = machine._jitter_seed
+        self._mirror_draws = 0
         self._last_clock: Dict[int, int] = {}
         self.accesses_checked = 0
 
@@ -105,12 +109,13 @@ class CoherenceSanitizer:
             j ^= j >> 7
             j ^= (j << 17) & _MASK64
             self._mirror_jitter = j
+            self._mirror_draws += 1
             expected_latency += j % (machine._jitter + 1)
-        if self._mirror_jitter != machine._jitter_state:
+        if self._mirror_draws != machine.jitter_draws:
             self._fail("jitter-stream", "machine consumed a different "
                        "number of jitter draws than one per access",
-                       record, expected=self._mirror_jitter,
-                       actual=machine._jitter_state)
+                       record, expected=self._mirror_draws,
+                       actual=machine.jitter_draws)
         stall = 0
         if kind in ("coherence_read", "coherence_write", "upgrade"):
             if pinned_before > now:

@@ -526,7 +526,8 @@ class Engine:
         private-HIT check, the thread's clock/counter updates and the
         PMU's sampling countdown are fused into one loop over plain
         locals, flushed back on every exit and around every slow-path
-        call. The fused loop consumes the jitter stream and the PMU
+        call. The fused loop reads jitter draws from the machine's
+        current chunk (``Machine._jit``) and consumes them and the PMU
         countdown in exactly the same order as the general path, so all
         outputs stay bit-identical.
 
@@ -546,7 +547,8 @@ class Engine:
 
         # Machine fast-path state (constants bundled at construction).
         lines_get, line_shift, hit_cost, jitter = machine._fast_state
-        jstate = machine._jitter_state
+        jit = machine._jit  # the current chunk of jitter draws
+        jpos = machine._jit_pos
         m_accesses = 0  # machine counter deltas, flushed with the locals
         m_cycles = 0
         steps = 0  # engine step delta, flushed with the locals
@@ -605,23 +607,28 @@ class Engine:
                         if state is not None and core in state.holders:
                             latency = hit_cost
                             if jitter:
-                                jstate ^= (jstate << 13) & 0xFFFFFFFFFFFFFFFF
-                                jstate ^= jstate >> 7
-                                jstate ^= (jstate << 17) & 0xFFFFFFFFFFFFFFFF
-                                latency += jstate % (jitter + 1)
+                                try:
+                                    latency += jit[jpos]
+                                except IndexError:
+                                    jit = machine.next_jitter_chunk()
+                                    jpos = 0
+                                    latency += jit[0]
+                                jpos += 1
                             m_accesses += 1
                             m_cycles += latency
                         else:
                             # Slow path: flush machine state, take the
                             # full MESI/prefetch/pin path, re-load the
-                            # jitter.
-                            machine._jitter_state = jstate
+                            # jitter position (and chunk: the call may
+                            # have moved on to the next one).
+                            machine._jit_pos = jpos
                             machine.total_accesses += m_accesses
                             machine.total_cycles += m_cycles
                             m_accesses = m_cycles = 0
                             latency, _, _ = machine.access_tuple(
                                 core, addr, False, clock)
-                            jstate = machine._jitter_state
+                            jit = machine._jit
+                            jpos = machine._jit_pos
                             if state is None:
                                 state = lines_get(line)
                         clock += latency
@@ -643,20 +650,24 @@ class Engine:
                         if state is not None and state.dirty_owner == core:
                             latency = hit_cost
                             if jitter:
-                                jstate ^= (jstate << 13) & 0xFFFFFFFFFFFFFFFF
-                                jstate ^= jstate >> 7
-                                jstate ^= (jstate << 17) & 0xFFFFFFFFFFFFFFFF
-                                latency += jstate % (jitter + 1)
+                                try:
+                                    latency += jit[jpos]
+                                except IndexError:
+                                    jit = machine.next_jitter_chunk()
+                                    jpos = 0
+                                    latency += jit[0]
+                                jpos += 1
                             m_accesses += 1
                             m_cycles += latency
                         else:
-                            machine._jitter_state = jstate
+                            machine._jit_pos = jpos
                             machine.total_accesses += m_accesses
                             machine.total_cycles += m_cycles
                             m_accesses = m_cycles = 0
                             latency, _, _ = machine.access_tuple(
                                 core, addr, True, clock)
-                            jstate = machine._jitter_state
+                            jit = machine._jit
+                            jpos = machine._jit_pos
                             if state is None:
                                 state = lines_get(line)
                         clock += latency
@@ -733,7 +744,7 @@ class Engine:
             # ``steps == 0`` means the first check completed the burst:
             # nothing below the burst fields changed, so skip the flush.
             if steps:
-                machine._jitter_state = jstate
+                machine._jit_pos = jpos
                 machine.total_accesses += m_accesses
                 machine.total_cycles += m_cycles
                 thread.clock = clock

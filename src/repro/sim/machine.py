@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.errors import ConfigError
 from repro.sim import coherence
 from repro.sim.coherence import CoherenceDirectory
-from repro.sim.params import MachineConfig
+from repro.sim.jitter import MAX_JITTER, JitterStream
+from repro.sim.params import MachineConfig, check_jitter_seed
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,11 @@ class Machine:
                  jitter_seed: int = 0xC0FFEE,
                  transfer_window: int = 0,
                  check: bool = False):
+        if type(timing_jitter) is not int or not (
+                0 <= timing_jitter <= MAX_JITTER):
+            raise ConfigError(f"timing_jitter must be an int in "
+                              f"0..{MAX_JITTER}, got {timing_jitter!r}")
+        check_jitter_seed(jitter_seed)
         self.config = config or MachineConfig()
         self.directory = CoherenceDirectory(
             self.config.line_shift, capacity_lines=capacity_lines
@@ -105,12 +112,21 @@ class Machine:
         self._prefetcher = prefetcher
         self._recent_lines: Dict[int, Dict[int, None]] = {}
         # Per-access timing noise (queueing, DRAM refresh, OoO windows):
-        # a cheap xorshift stream adding 0..timing_jitter cycles. Without
-        # it, identical threads stay in deterministic lockstep and either
+        # each access adds 0..timing_jitter cycles, the next draw of an
+        # xorshift stream seeded with ``jitter_seed``. Without it,
+        # identical threads stay in deterministic lockstep and either
         # resonate into conflict-on-every-access or drift into artificial
-        # silence — neither happens on real machines.
+        # silence — neither happens on real machines. The draws come in
+        # ``bytes`` chunks (repro.sim.jitter): every access path reads
+        # ``_jit[_jit_pos]`` and advances the position, and reading past
+        # the chunk's end takes the next one (the first access takes the
+        # first). ``_jit_base`` counts the draws of earlier chunks.
         self._jitter = timing_jitter
-        self._jitter_state = jitter_seed or 1
+        self._jitter_seed = jitter_seed or 1
+        self._jitter_stream = JitterStream(timing_jitter, self._jitter_seed)
+        self._jit = b""
+        self._jit_pos = 0
+        self._jit_base = 0
         # Coherence transfers serialize at the directory: after a line
         # moves to a new owner, contending requests from other cores queue
         # until the in-flight transfer (plus a short ownership window)
@@ -195,12 +211,13 @@ class Machine:
                     else core in state.holders):
                 latency = self._hit_cost
                 if self._jitter:
-                    jstate = self._jitter_state
-                    jstate ^= (jstate << 13) & 0xFFFFFFFFFFFFFFFF
-                    jstate ^= jstate >> 7
-                    jstate ^= (jstate << 17) & 0xFFFFFFFFFFFFFFFF
-                    self._jitter_state = jstate
-                    latency += jstate % (self._jitter + 1)
+                    pos = self._jit_pos
+                    try:
+                        latency += self._jit[pos]
+                    except IndexError:
+                        latency += self.next_jitter_chunk()[0]
+                        pos = 0
+                    self._jit_pos = pos + 1
                 self.total_accesses += 1
                 self.total_cycles += latency
                 return latency, coherence.HIT, line
@@ -228,12 +245,13 @@ class Machine:
                 latency += penalty
                 self.numa_penalty_cycles += penalty
         if self._jitter:
-            state = self._jitter_state
-            state ^= (state << 13) & 0xFFFFFFFFFFFFFFFF
-            state ^= state >> 7
-            state ^= (state << 17) & 0xFFFFFFFFFFFFFFFF
-            self._jitter_state = state
-            latency += state % (self._jitter + 1)
+            pos = self._jit_pos
+            try:
+                latency += self._jit[pos]
+            except IndexError:
+                latency += self.next_jitter_chunk()[0]
+                pos = 0
+            self._jit_pos = pos + 1
         if kind in _COHERENCE_KINDS:
             pinned = self._pin_until.get(line, 0)
             if pinned > now:
@@ -244,6 +262,23 @@ class Machine:
         self.total_accesses += 1
         self.total_cycles += latency
         return latency, kind, line
+
+    def next_jitter_chunk(self) -> bytes:
+        """Move on to the next chunk of jitter draws and return it.
+
+        Called by every access path when its position reaches the end of
+        the current chunk, which it has then consumed whole; the caller
+        reads the new chunk from position 0.
+        """
+        self._jit_base += len(self._jit)
+        self._jit = chunk = self._jitter_stream.next_chunk()
+        self._jit_pos = 0
+        return chunk
+
+    @property
+    def jitter_draws(self) -> int:
+        """Jitter draws consumed so far: one per access while jitter is on."""
+        return self._jit_base + self._jit_pos
 
     # The un-shadowed implementation, reachable even when sanitizer mode
     # rebinds ``access_tuple`` on the instance. Subclasses that override

@@ -33,6 +33,15 @@ def check_cycles(name: str, value: object, *, positive: bool = False) -> None:
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
+def check_jitter_seed(value: object) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an ``int`` in
+    ``[0, 2**64)`` (``bool`` excluded): the timing-jitter stream's state
+    is 64 bits wide. ``0`` seeds the stream with ``1``."""
+    if type(value) is not int or not 0 <= value < 1 << 64:
+        raise ConfigError(
+            f"jitter_seed must be an int in [0, 2**64), got {value!r}")
+
+
 @dataclass(frozen=True)
 class LatencyModel(ConfigBase):
     """Cycle costs per memory-access outcome.

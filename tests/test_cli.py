@@ -189,6 +189,13 @@ class TestFixCheck:
         assert "real improvement:" in out
         assert "Cheetah predicted:" in out
 
+    def test_fix_check_refuses_fixed(self, capsys):
+        assert main(["fix-check", "array_increment", "--threads", "2",
+                     "--scale", "0.1", "--fixed"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("repro fix-check: --fixed is not supported: ")
+
 
 class TestCompare:
     def test_compare_three_tools(self, capsys):
@@ -196,6 +203,13 @@ class TestCompare:
         out = capsys.readouterr().out
         for tool in ("Cheetah", "Predator", "Sheriff"):
             assert tool in out
+
+    def test_compare_refuses_fixed(self, capsys):
+        assert main(["compare", "array_increment", "--threads", "2",
+                     "--scale", "0.1", "--fixed"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("repro compare: --fixed is not supported: ")
 
 
 class TestCheckFlag:

@@ -158,6 +158,14 @@ class TestJobLifecycle:
         assert status == 400
         assert "alloc_cost" in body["error"]
 
+    def test_fractional_jitter_seed_400(self, daemon):
+        # Refused at submit time, not failed inside the engine.
+        status, body, _ = Client(daemon).request(
+            "/v1/jobs", body={"request": {"workload": "histogram",
+                                          "jitter_seed": 1.5}})
+        assert status == 400
+        assert "jitter_seed" in body["error"]
+
     def test_invalid_workload_fails_job_not_daemon(self, daemon):
         client = Client(daemon)
         _, body, _ = client.submit(RunRequest(workload="no_such_workload"))

@@ -13,6 +13,7 @@ import pytest
 from repro.sim.check.fuzz import (
     diff_spec, fingerprint, fuzz, generate_spec, load_corpus, run_spec,
 )
+from repro.sim.jitter import CHUNK
 
 CORPUS_PATH = Path(__file__).parent / "data" / "fuzz_corpus.json"
 CORPUS = load_corpus(CORPUS_PATH)
@@ -57,6 +58,12 @@ class TestRunSpec:
         for cycle, now in fp["checkpoints"]:
             assert cycle in spec["checkpoints"]
             assert now >= cycle
+
+    def test_jitter_lead_puts_a_chunk_boundary_in_the_program(self):
+        # The lead-in reads all but ``jitter_lead`` draws of the first
+        # chunk, so a program longer than that reads into the second.
+        spec = next(s for s in CORPUS if s["jitter"])
+        assert run_spec(spec)["machine"][0] > CHUNK
 
     def test_different_seeds_differ(self):
         # Not logically required, but if every program fingerprints the
