@@ -359,26 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate_p.add_argument("--iterations", type=int, default=None,
                             help="fuzz program count")
 
-    bench_p = sub.add_parser(
-        "bench", parents=[json_parent],
-        help="run the engine perf-regression bench "
-             "(records BENCH_engine.json)")
-    bench_p.add_argument("--repeats", type=int, default=3,
-                         help="wall-clock repeats per metric (best kept)")
-    bench_p.add_argument("--label", default="current",
-                         help="label stored with this entry")
-    bench_p.add_argument("--no-update", action="store_true",
-                         help="measure and compare without rewriting "
-                              "BENCH_engine.json")
-    bench_p.add_argument("--service", action="store_true",
-                         help="run the run-service cold/warm cache bench "
-                              "instead (records BENCH_service.json)")
-    bench_p.add_argument("--compare", metavar="V1,V2", default=None,
-                         help="measure each listed mode "
-                              "(simulate,predict,sampled) and print a "
-                              "speedup table instead of recording an "
-                              "entry")
-
     cache_p = sub.add_parser(
         "cache", parents=[json_parent],
         help="inspect or maintain the persistent result store")
@@ -970,26 +950,6 @@ def cmd_validate(args) -> int:
     return code
 
 
-def cmd_bench(args) -> int:
-    if args.service:
-        from repro.service import bench as service_bench
-        argv = ["--label", args.label]
-        if args.no_update:
-            argv.append("--no-update")
-        code = service_bench.main(argv)
-    else:
-        from repro import bench
-        argv = ["--repeats", str(args.repeats), "--label", args.label]
-        if args.no_update:
-            argv.append("--no-update")
-        if args.compare:
-            argv += ["--compare", args.compare]
-        code = bench.main(argv)
-    if args.json:
-        _print_json({"command": "bench", "ok": code == 0})
-    return code
-
-
 def cmd_cache(args) -> int:
     from repro.service import ResultStore
     store = ResultStore(args.cache_dir or default_cache_dir())
@@ -1067,7 +1027,6 @@ COMMANDS = {
     "compare": cmd_compare,
     "experiment": cmd_experiment,
     "validate": cmd_validate,
-    "bench": cmd_bench,
     "cache": cmd_cache,
     "serve": cmd_serve,
 }

@@ -7,7 +7,8 @@ observability ``ObsConfig``) — share one construction convention,
 provided by :class:`ConfigBase`:
 
 - ``Cls.from_dict(data)`` builds a config from a plain mapping,
-  recursing into nested config dataclasses, rejecting unknown keys with
+  recursing into nested config dataclasses (``Optional`` ones too),
+  rejecting unknown keys and values of the wrong type with
   :class:`~repro.errors.ConfigError`, and running the class's own
   ``__post_init__`` validation;
 - ``cfg.to_dict()`` produces the inverse plain-dict form (nested
@@ -24,10 +25,72 @@ instead of ad-hoc kwargs plumbing per subcommand.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 import typing
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
+
+
+@functools.lru_cache(maxsize=None)
+def _field_types(cls: type) -> Dict[str, Tuple[Any, bool]]:
+    """Each init field of dataclass ``cls`` as ``name -> (type,
+    optional)``, with ``Optional[X]`` unwrapped to ``(X, True)``.
+
+    ``from __future__ import annotations`` turns field types into
+    strings; they are resolved once per class. When resolution fails,
+    the raw annotation strings stand in.
+    """
+    try:
+        hints = typing.get_type_hints(cls)
+    except Exception:  # pragma: no cover - defensive
+        hints = {}
+    types = {}
+    for f in dataclasses.fields(cls):
+        if not f.init:
+            continue
+        hint = hints.get(f.name, f.type)
+        args = typing.get_args(hint)
+        optional = (typing.get_origin(hint) is typing.Union
+                    and len(args) == 2 and type(None) in args)
+        if optional:
+            hint = args[0] if args[1] is type(None) else args[1]
+        types[f.name] = (hint, optional)
+    return types
+
+
+def _type_ok(ftype: Any, value: Any) -> bool:
+    if ftype in (bool, int):
+        return type(value) is ftype  # an int field refuses a bool
+    if ftype is float:
+        return type(value) is int or (type(value) is float
+                                      and math.isfinite(value))
+    args = typing.get_args(ftype)
+    if typing.get_origin(ftype) is tuple and args[1:] == (Ellipsis,):
+        # JSON arrays decode to lists; __post_init__ makes them tuples.
+        return (isinstance(value, (list, tuple))
+                and all(_type_ok(args[0], item) for item in value))
+    return not isinstance(ftype, type) or isinstance(value, ftype)
+
+
+def _check_type(owner: str, name: str, ftype: Any, optional: bool,
+                value: Any) -> None:
+    """Raise :class:`ConfigError` unless ``value`` suits field type
+    ``ftype``: a ``bool`` field takes a bool, an ``int`` field an int
+    that is not a bool, a ``float`` field an int or a finite float, a
+    ``Tuple[X, ...]`` field a list or tuple of X, any other class an
+    instance of it (other generic hints go unchecked); an ``optional``
+    field also takes ``None``."""
+    if (value is None and optional) or _type_ok(ftype, value):
+        return
+    what = {bool: "a bool", int: "an int", float: "a finite number",
+            str: "a string"}.get(ftype) or (
+                f"a list of {typing.get_args(ftype)[0].__name__}"
+                if typing.get_origin(ftype) is tuple
+                else f"a {ftype.__name__}")
+    raise ConfigError(f"{owner}.{name} must be {what}"
+                      f"{' or null' if optional else ''}, got {value!r}")
 
 
 class ConfigBase:
@@ -40,47 +103,38 @@ class ConfigBase:
     """
 
     @classmethod
-    def _field_types(cls) -> Dict[str, Any]:
-        # ``from __future__ import annotations`` turns field types into
-        # strings; resolve them so nested config dataclasses can be
-        # detected. Fall back to the raw annotations when resolution
-        # fails (e.g. names only available under TYPE_CHECKING).
-        try:
-            return typing.get_type_hints(cls)
-        except Exception:  # pragma: no cover - defensive
-            return {f.name: f.type for f in dataclasses.fields(cls)}
-
-    @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ConfigBase":
         """Build a validated config from a plain mapping.
 
-        Unknown keys raise :class:`~repro.errors.ConfigError`; values for
-        fields that are themselves config dataclasses may be given as
-        nested mappings and are converted recursively.
+        Unknown keys and values of the wrong type (see
+        :meth:`_check_field_types`) raise
+        :class:`~repro.errors.ConfigError` before the class's own
+        validation runs; values for fields that are themselves config
+        dataclasses (or ``Optional`` ones) may be given as nested
+        mappings and are converted recursively.
         """
         if not isinstance(data, Mapping):
             raise ConfigError(
                 f"{cls.__name__}.from_dict expects a mapping, "
                 f"got {type(data).__name__}")
-        fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+        fields = _field_types(cls)
         unknown = sorted(set(data) - set(fields))
         if unknown:
             raise ConfigError(
                 f"unknown {cls.__name__} key(s): {', '.join(unknown)} "
                 f"(known: {', '.join(sorted(fields))})")
-        hints = cls._field_types()
         kwargs: Dict[str, Any] = {}
-        for name in fields:
+        for name, (ftype, optional) in fields.items():
             if name not in data:
                 continue
             value = data[name]
-            ftype = hints.get(name)
             if (isinstance(value, Mapping) and isinstance(ftype, type)
                     and dataclasses.is_dataclass(ftype)):
                 if issubclass(ftype, ConfigBase):
                     value = ftype.from_dict(value)
                 else:  # pragma: no cover - all nested configs use the mixin
                     value = ftype(**value)
+            _check_type(cls.__name__, name, ftype, optional, value)
             kwargs[name] = value
         return cls(**kwargs)
 
@@ -100,6 +154,15 @@ class ConfigBase:
     def replace(self, **changes: Any) -> "ConfigBase":
         """A new config with ``changes`` applied (validation re-runs)."""
         return dataclasses.replace(self, **changes)
+
+    def _check_field_types(self) -> None:
+        """Raise :class:`ConfigError` unless every field holds its
+        annotated type, by the rule of ``_check_type``; ``from_dict``
+        applies the same rule to every key it is given."""
+        cls = type(self)
+        for name, (ftype, optional) in _field_types(cls).items():
+            _check_type(cls.__name__, name, ftype, optional,
+                        getattr(self, name))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -16,8 +16,9 @@ once in ``predict`` mode — and compare:
 
 The harness passes when the median invalidation error is at most
 :data:`MEDIAN_ERROR_BUDGET` and the verdict agrees on every workload.
-``repro predict --validate`` and ``tools/predict_accuracy.py`` both call
-:func:`main`.
+The full run (no ``--smoke``, no ``--workloads``) also measures the
+fast-forward headline, :func:`measure_fast_forward`, and reports it
+without gating on it. ``repro predict --validate`` calls :func:`main`.
 """
 
 from __future__ import annotations
@@ -63,6 +64,16 @@ SMOKE_SET = (
     ("linear_regression", 8, 1.0),
     ("matrix_multiply", 4, 0.5),
 )
+
+
+#: The fast-forward headline (workload, threads, scale): ~1.06e8
+#: predicted accesses (1024 workers x 2 accesses x 800*65 iterations),
+#: far beyond what full simulation can touch interactively.
+FAST_FORWARD_TARGET = ("synthetic", 1024, 65.0)
+
+#: (threads, scale) of the feasible replica whose simulated access rate
+#: prices the target: implied simulate time = predicted accesses / rate.
+FAST_FORWARD_REPLICA = (64, 4.0)
 
 
 @dataclass
@@ -155,6 +166,53 @@ def run_validation(cases: Sequence[tuple], *,
             for name, threads, scale in cases]
 
 
+def measure_fast_forward(target: tuple = FAST_FORWARD_TARGET,
+                         replica: tuple = FAST_FORWARD_REPLICA, *,
+                         seed: int = 11) -> Dict[str, object]:
+    """Time a predict run of ``target`` against the implied cost of
+    simulating it: its predicted accesses over the access rate of a
+    simulated ``replica`` (threads, scale) of the same workload, both
+    profiled on a machine with one core per target thread."""
+    name, threads, scale = target
+    cls = get_workload(name)
+    machine = MachineConfig(num_cores=threads)
+
+    start = time.perf_counter()
+    pred = run_workload(cls(num_threads=threads, scale=scale),
+                        machine_config=machine.replace(mode="predict"),
+                        jitter_seed=seed, with_cheetah=True)
+    pred_secs = time.perf_counter() - start
+
+    replica_threads, replica_scale = replica
+    start = time.perf_counter()
+    sim = run_workload(cls(num_threads=replica_threads, scale=replica_scale),
+                       machine_config=machine, jitter_seed=seed,
+                       with_cheetah=True)
+    rate = sim.result.total_accesses / (time.perf_counter() - start)
+
+    accesses = pred.result.total_accesses
+    implied = accesses / rate
+    return {
+        "workload": name, "threads": threads, "scale": scale,
+        "replica_threads": replica_threads, "replica_scale": replica_scale,
+        "predicted_accesses": accesses,
+        "predict_seconds": round(pred_secs, 3),
+        "simulate_accesses_per_second": round(rate, 1),
+        "implied_simulate_seconds": round(implied, 2),
+        "speedup": round(implied / pred_secs, 1),
+    }
+
+
+def render_fast_forward(ff: Dict[str, object]) -> str:
+    return (f"fast-forward {ff['workload']} {ff['threads']}t "
+            f"scale {ff['scale']:g}: {ff['predicted_accesses']:,} accesses "
+            f"predicted in {ff['predict_seconds']:.2f}s; simulating them "
+            f"at {ff['simulate_accesses_per_second']:,.0f} acc/s "
+            f"({ff['replica_threads']}t scale {ff['replica_scale']:g} "
+            f"replica) takes ~{ff['implied_simulate_seconds']:,.0f}s "
+            f"-> {ff['speedup']:,.0f}x")
+
+
 def summarize(results: Sequence[WorkloadResult]) -> Dict[str, object]:
     errors = sorted(r.invalidation_error for r in results)
     mid = len(errors) // 2
@@ -225,12 +283,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     results = run_validation(cases, seed=args.seed)
     summary = summarize(results)
+    report: Dict[str, object] = {"summary": summary,
+                                 "results": [r.to_dict() for r in results]}
+    if not args.json:
+        print(render_table(results, summary), flush=True)
+    if not (args.smoke or args.workloads):
+        report["fast_forward"] = measure_fast_forward(seed=args.seed)
+        if not args.json:
+            print(render_fast_forward(report["fast_forward"]))
     if args.json:
-        print(json.dumps({"summary": summary,
-                          "results": [r.to_dict() for r in results]},
-                         indent=2, sort_keys=True))
-    else:
-        print(render_table(results, summary))
+        print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if summary["passed"] else 1
 
 

@@ -33,7 +33,7 @@ hand-built specs (``None`` configs canonicalize to their defaults).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 from repro.config import ConfigBase
 from repro.core.profiler import CheetahConfig
@@ -110,6 +110,7 @@ class RunRequest(ConfigBase):
             raise ConfigError(
                 "RunRequest.workload must be a non-empty registry name, "
                 f"got {self.workload!r}")
+        self._check_field_types()
         if self.kernel is not None and self.kernel not in _KERNELS:
             raise ConfigError(
                 f"kernel must be one of {_KERNELS}, got {self.kernel!r}")
@@ -235,26 +236,3 @@ class RunRequest(ConfigBase):
         """Run this request directly (no cache): the daemon's miss path
         and the CLI's ``--no-cache`` path resolve to the same call."""
         return self.to_spec().execute()
-
-    # -- (de)serialization ---------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunRequest":
-        """Build a request from a plain mapping (the HTTP body form).
-
-        Nested ``machine`` / ``pmu`` / ``cheetah`` mappings decode
-        through their own ``from_dict`` (their ``Optional[...]`` field
-        types defeat :class:`ConfigBase`'s automatic recursion).
-        """
-        if not isinstance(data, Mapping):
-            raise ConfigError(
-                f"RunRequest.from_dict expects a mapping, "
-                f"got {type(data).__name__}")
-        converted = dict(data)
-        for name, config_cls in (("machine", MachineConfig),
-                                 ("pmu", PMUConfig),
-                                 ("cheetah", CheetahConfig)):
-            value = converted.get(name)
-            if isinstance(value, Mapping):
-                converted[name] = config_cls.from_dict(value)
-        return super().from_dict(converted)  # type: ignore[return-value]

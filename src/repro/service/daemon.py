@@ -75,6 +75,10 @@ DEFAULT_TENANT = "anonymous"
 
 TENANT_HEADER = "X-Repro-Tenant"
 
+#: Largest ``POST /v1/jobs`` body read; a longer ``Content-Length`` gets
+#: 413 unread. A full ``RunRequest`` with every nested config is a few KB.
+MAX_BODY_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class ServeConfig(ConfigBase):
@@ -497,6 +501,11 @@ def _make_handler(daemon: Daemon):
             self.end_headers()
             self.wfile.write(payload)
 
+        def _refuse(self, status: int, error: str) -> None:
+            """Reply without reading the body, then close the connection."""
+            self.close_connection = True
+            self._send_json(status, {"error": error}, {"Connection": "close"})
+
         # -- routes --------------------------------------------------------
 
         def do_POST(self) -> None:  # noqa: N802 (http.server convention)
@@ -504,11 +513,22 @@ def _make_handler(daemon: Daemon):
             if path != "/v1/jobs":
                 self._send_json(404, {"error": f"unknown path {path}"})
                 return
+            header = (self.headers.get("Content-Length") or "0").strip()
+            if not (header.isascii() and header.isdigit()):
+                self._refuse(400, "Content-Length must be a non-negative "
+                                  f"integer, got {header!r}")
+                return
+            # Count digits first: int() refuses more than 4,300 of them.
+            digits = header.lstrip("0") or "0"
+            if (len(digits) > len(str(MAX_BODY_BYTES))
+                    or int(digits) > MAX_BODY_BYTES):
+                self._refuse(413, "body exceeds the "
+                                  f"{MAX_BODY_BYTES}-byte limit")
+                return
             try:
-                length = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(length)
+                raw = self.rfile.read(int(digits))
                 body = json.loads(raw) if raw else {}
-            except (ValueError, TypeError):
+            except (ValueError, RecursionError):
                 self._send_json(400, {"error": "body is not valid JSON"})
                 return
             try:

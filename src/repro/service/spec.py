@@ -29,10 +29,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
+from repro.config import ConfigBase
 from repro.core.profiler import CheetahConfig
-from repro.errors import ServiceError
+from repro.errors import ConfigError, ServiceError
 from repro.pmu.sampler import PMUConfig
 from repro.run import SCHEMA_VERSION, RunOutcome, run_workload
 from repro.sim.params import MachineConfig, check_jitter_seed
@@ -51,7 +52,7 @@ def content_key(data: Any) -> str:
 
 
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(ConfigBase):
     """Everything that determines one simulation's output.
 
     ``workload`` is a registry name (see ``repro list``); the service
@@ -76,7 +77,12 @@ class RunSpec:
             raise ServiceError(
                 "RunSpec.workload must be a registry name (a non-empty "
                 f"string), got {self.workload!r}")
+        self._check_field_types()
         check_jitter_seed(self.jitter_seed)
+        if self.threads is not None and self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if self.scale <= 0:
+            raise ConfigError(f"scale must be positive, got {self.scale}")
 
     # -- hashing -------------------------------------------------------------
 
@@ -109,34 +115,6 @@ class RunSpec:
     def key(self) -> str:
         """Stable content hash identifying this spec's result."""
         return content_key(self.canonical_dict())
-
-    # -- (de)serialization ---------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (configs as nested dicts, ``None`` preserved)."""
-        return {
-            "workload": self.workload,
-            "threads": self.threads,
-            "scale": self.scale,
-            "fixed": self.fixed,
-            "workload_seed": self.workload_seed,
-            "jitter_seed": self.jitter_seed,
-            "with_cheetah": self.with_cheetah,
-            "machine": self.machine.to_dict() if self.machine else None,
-            "pmu": self.pmu.to_dict() if self.pmu else None,
-            "cheetah": self.cheetah.to_dict() if self.cheetah else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
-        kwargs = dict(data)
-        for name, config_cls in (("machine", MachineConfig),
-                                 ("pmu", PMUConfig),
-                                 ("cheetah", CheetahConfig)):
-            value = kwargs.get(name)
-            if isinstance(value, Mapping):
-                kwargs[name] = config_cls.from_dict(value)
-        return cls(**kwargs)
 
     # -- execution -----------------------------------------------------------
 

@@ -177,6 +177,76 @@ class TestJobLifecycle:
         assert client.wait(body["id"])["status"] == "done"
 
 
+#: Job bodies the daemon must answer with 400 before anything is queued:
+#: unknown keys, non-mappings and wrong field types, at the top level
+#: and inside nested configs.
+MALFORMED_BODIES = [
+    {"spec": {"workload": "histogram", "bogus": 1}},
+    {"spec": [1]},
+    {"spec": {"workload": "histogram", "threads": "8"}},
+    {"request": {"workload": "histogram", "threads": "8"}},
+    {"request": {"workload": "histogram", "scale": "x"}},
+    {"request": {"workload": "linear_regression", "fixed": "false"}},
+    {"request": {"workload": "histogram", "machine": {"num_cores": "8"}}},
+    {"request": {"workload": "histogram", "machine": {"latency": 5}}},
+    {"request": {"workload": "histogram",
+                 "pmu": {"adaptive": {"rotation": [[1]]}}}},
+]
+
+
+def raw_post(port, headers):
+    """POST ``/v1/jobs`` with ``headers`` and no body; returns the reply
+    once the daemon closes the connection (the client keeps its side
+    open, so a daemon waiting for the body times the read out)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(("POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+                      f"{headers}\r\n").encode())
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return reply
+            reply += chunk
+
+
+class TestMalformedBodies:
+    @pytest.mark.parametrize("body", MALFORMED_BODIES,
+                             ids=[json.dumps(b) for b in MALFORMED_BODIES])
+    def test_each_body_gets_400_and_the_next_job_runs(self, daemon, body):
+        client = Client(daemon)
+        status, reply, _ = client.request("/v1/jobs", body=body)
+        assert status == 400, reply
+        assert reply["error"]
+        assert daemon.stats()["jobs"] == {}
+        _, submitted, _ = client.submit(NATIVE)
+        assert client.wait(submitted["id"])["status"] == "done"
+
+    def test_non_finite_scale_and_deep_nesting_get_400(self, daemon):
+        client = Client(daemon)
+        status, reply, _ = client.request(
+            "/v1/jobs", body={"request": {"workload": "histogram",
+                                          "scale": float("nan")}})
+        assert status == 400 and "scale" in reply["error"]
+        req = urllib.request.Request(client.base + "/v1/jobs",
+                                     data=b"[" * 100_000)
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(req, timeout=10)
+        assert info.value.code == 400
+
+    @pytest.mark.parametrize("length,status", [
+        ("-1", 400), ("ten", 400), ("1000000000000", 413),
+        ("9" * 5000, 413)], ids=["negative", "not-a-number", "over-the-cap",
+                                 "5000-digits"])
+    def test_bad_content_length_is_refused_unread(self, daemon, length,
+                                                  status):
+        reply = raw_post(daemon.port, f"Content-Length: {length}\r\n")
+        assert reply.startswith(f"HTTP/1.0 {status} ".encode()), reply[:80]
+        assert b"Connection: close" in reply
+        client = Client(daemon)
+        _, submitted, _ = client.submit(NATIVE)
+        assert client.wait(submitted["id"])["status"] == "done"
+
+
 class TestStreamingEvents:
     def test_events_stream_live_before_completion(self, daemon):
         """Findings arrive on /events while the job is still running."""

@@ -1,6 +1,8 @@
 """Documentation consistency checks: the docs must not drift from the
 code they describe."""
 
+import argparse
+import importlib.util
 import re
 from pathlib import Path
 
@@ -45,6 +47,36 @@ class TestTopLevelDocs:
         for artifact in ("Figure 1", "Figure 4", "Figure 5", "Figure 7",
                          "Table 1", "4.2.3"):
             assert artifact in text
+
+
+class TestCommandsInDocs:
+    """Every command README.md and docs/*.md tell a reader to run exists."""
+
+    DOCS = ["README.md"] + sorted(
+        f"docs/{p.name}" for p in (ROOT / "docs").glob("*.md"))
+
+    def test_every_repro_subcommand_is_in_the_parser(self):
+        from repro.cli import build_parser
+        subcommands = set(next(
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)))
+        for doc in self.DOCS:
+            for name in re.findall(r"(?<!from )\brepro ([a-z][\w-]*)",
+                                   read(doc)):
+                assert name in subcommands, f"{doc}: repro {name}"
+
+    def test_every_tool_script_exists(self):
+        for doc in self.DOCS:
+            for name in re.findall(r"\btools/(\w+)\.py", read(doc)):
+                assert (ROOT / "tools" / f"{name}.py").is_file(), \
+                    f"{doc}: tools/{name}.py"
+
+    def test_every_python_m_module_exists(self):
+        for doc in self.DOCS:
+            for module in re.findall(r"python3? -m (repro(?:\.\w+)+)",
+                                     read(doc)):
+                assert importlib.util.find_spec(module) is not None, \
+                    f"{doc}: python -m {module}"
 
 
 class TestBenchmarksCoverArtifacts:

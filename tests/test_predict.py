@@ -28,7 +28,9 @@ from repro.predict import (
 )
 from repro.predict.validate import (
     SMOKE_SET,
+    measure_fast_forward,
     relative_error,
+    render_fast_forward,
     run_validation,
     summarize,
     validate_workload,
@@ -506,3 +508,17 @@ class TestValidationHarness:
         assert code == 0
         assert data["summary"]["passed"]
         assert len(data["results"]) == 2
+        assert "fast_forward" not in data  # only the full run measures it
+
+    def test_fast_forward_on_a_small_target(self):
+        ff = measure_fast_forward(("synthetic", 16, 2.0), (4, 0.5),
+                                  seed=SEED)
+        # synthetic: 2 accesses per iteration, 800 iterations per scale
+        assert ff["predicted_accesses"] == 16 * 2 * 800 * 2
+        assert ff["predict_seconds"] > 0
+        assert ff["simulate_accesses_per_second"] > 0
+        assert ff["implied_simulate_seconds"] == pytest.approx(
+            ff["predicted_accesses"] / ff["simulate_accesses_per_second"],
+            abs=0.01)
+        assert ff["speedup"] > 0
+        assert "16t scale 2" in render_fast_forward(ff)

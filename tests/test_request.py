@@ -42,6 +42,74 @@ class TestValidation:
             RunRequest(workload="histogram", period=0)
 
 
+class TestFieldTypes:
+    """Job bodies are untrusted JSON: a wrong type is a ConfigError at
+    construction, never a TypeError later or a run under another key."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("threads", "8"), ("threads", True), ("threads", 2.0),
+        ("scale", "x"), ("scale", True), ("scale", float("nan")),
+        ("scale", float("inf")), ("fixed", "false"), ("fixed", 1),
+        ("profile", "yes"), ("adaptive", 0), ("true_sharing", None),
+        ("seed", 1.5), ("period", "8"), ("line_size", "64"),
+        ("cores", 8.0), ("numa_nodes", False), ("kernel", ["fused"]),
+        ("machine", 5), ("pmu", {"period": 8}), ("cheetah", "default")])
+    def test_request_field_of_wrong_type(self, field, value):
+        with pytest.raises(ConfigError, match=f"RunRequest.{field} must be"):
+            RunRequest(workload="histogram", **{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("threads", "8"), ("scale", "x"), ("scale", float("-inf")),
+        ("fixed", "false"), ("workload_seed", True),
+        ("with_cheetah", 1), ("machine", {"num_cores": 8})])
+    def test_spec_field_of_wrong_type(self, field, value):
+        with pytest.raises(ConfigError, match=f"RunSpec.{field} must be"):
+            RunSpec(workload="histogram", **{field: value})
+
+    def test_spec_ranges(self):
+        with pytest.raises(ConfigError, match="threads"):
+            RunSpec(workload="histogram", threads=0)
+        with pytest.raises(ConfigError, match="scale"):
+            RunSpec(workload="histogram", scale=0)
+
+    def test_ints_are_valid_scales(self):
+        assert RunRequest(workload="histogram", scale=2).to_spec().scale == 2
+
+    def test_spec_from_dict_rejects_non_mappings_and_unknown_keys(self):
+        with pytest.raises(ConfigError, match="mapping"):
+            RunSpec.from_dict([1])
+        with pytest.raises(ConfigError, match="unknown RunSpec key"):
+            RunSpec.from_dict({"workload": "histogram", "bogus": 1})
+
+    def test_spec_from_dict_decodes_nested_configs(self):
+        spec = RunSpec.from_dict({"workload": "histogram",
+                                  "machine": {"num_cores": 8}})
+        assert spec.machine == MachineConfig(num_cores=8)
+        assert RunSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("data,message", [
+        ({"machine": {"num_cores": "8"}}, "MachineConfig.num_cores"),
+        ({"machine": {"latency": 5}}, "MachineConfig.latency"),
+        ({"pmu": {"period": "8"}}, "PMUConfig.period"),
+        ({"pmu": {"adaptive": {"rotation": [[1]]}}},
+         "AdaptiveConfig.rotation"),
+        ({"cheetah": {"detector": 3}}, "CheetahConfig.detector")])
+    def test_nested_config_field_of_wrong_type(self, data, message):
+        with pytest.raises(ConfigError, match=message):
+            RunRequest.from_dict({"workload": "histogram", **data})
+
+    def test_unfixed_layout_is_not_a_third_key(self):
+        """``fixed: "false"`` used to run the padded layout under a key
+        of its own; now only the two bools name a layout."""
+        with pytest.raises(ConfigError, match="fixed"):
+            RunRequest.from_dict({"workload": "linear_regression",
+                                  "fixed": "false"})
+        keys = {RunRequest(workload="linear_regression",
+                           fixed=fixed).to_spec().key()
+                for fixed in (False, True)}
+        assert len(keys) == 2
+
+
 class TestProfiledImplication:
     def test_plain_request_is_not_profiled(self):
         assert not RunRequest(workload="histogram").profiled

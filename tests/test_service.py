@@ -227,13 +227,22 @@ class TestSessionContentHash:
 
 class TestExperimentIntegration:
     def test_warm_scaling_experiment_is_byte_identical(self, tmp_path):
-        from repro.experiments import scaling
-        with using_service(_service(tmp_path)) as service:
-            cold = scaling.run(scale=0.2, thread_counts=(2, 4)).render()
-            warm = scaling.run(scale=0.2, thread_counts=(2, 4)).render()
-        assert warm == cold
-        stats = service.stats()
-        assert stats["hits"] == 4 and stats["misses"] == 4
+        """A warm pass renders the cold pass's bytes with every run
+        served from the store, for ``scaling`` and for ``table1``."""
+        from repro.experiments import scaling, table1
+        experiments = [
+            ("scaling", 4, lambda: scaling.run(
+                scale=0.2, thread_counts=(2, 4))),
+            ("table1", 24, lambda: table1.run(
+                scale=0.2, thread_counts=(4, 2), seeds=(11, 22))),
+        ]
+        for name, runs, experiment in experiments:
+            with using_service(_service(tmp_path / name)) as service:
+                cold = experiment().render()
+                warm = experiment().render()
+            assert warm == cold, name
+            stats = service.stats()
+            assert stats["hits"] == runs and stats["misses"] == runs, name
 
     def test_scaling_matches_uncached_baseline(self, tmp_path):
         from repro.experiments import scaling

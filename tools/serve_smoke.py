@@ -2,7 +2,9 @@
 """CI smoke test for the serve daemon: real process, real HTTP.
 
 Starts ``python -m repro serve`` on an ephemeral port as a subprocess,
-submits a windowed-detector job over HTTP, polls it to completion,
+posts malformed job bodies and bad ``Content-Length`` headers and
+requires a 400 or 413 for each, then submits a windowed-detector job
+over HTTP, polls it to completion,
 asserts at least one NDJSON finding event and a non-empty ``/metrics``
 exposition, then delivers SIGINT and checks the daemon drains and exits
 0, leaving none of its child processes (the worker process that ran the
@@ -15,13 +17,30 @@ import glob
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
 import time
+import urllib.error
+import urllib.parse
 import urllib.request
 
 TIMEOUT = 120.0
+
+#: Job bodies the daemon must refuse with 400 (docs/service.md, "Job
+#: body errors").
+MALFORMED_BODIES = [
+    {"spec": {"workload": "histogram", "bogus": 1}},
+    {"spec": [1]},
+    {"spec": {"workload": "histogram", "threads": "8"}},
+    {"request": {"workload": "histogram", "threads": "8"}},
+    {"request": {"workload": "histogram", "scale": "x"}},
+    {"request": {"workload": "linear_regression", "fixed": "false"}},
+]
+
+#: (Content-Length, expected status): refused without reading a body.
+BAD_LENGTHS = [("-1", 400), ("1000000000000", 413)]
 
 
 def fail(message):
@@ -75,6 +94,58 @@ def get_json(url):
         return json.loads(resp.read())
 
 
+def post_status(base, body):
+    """Status of a ``POST /v1/jobs`` with JSON ``body``."""
+    request = urllib.request.Request(
+        f"{base}/v1/jobs", data=json.dumps(body).encode(),
+        headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=30) as resp:
+            return resp.status
+    except urllib.error.HTTPError as exc:
+        return exc.code
+    except OSError as exc:  # a dropped connection, a timeout
+        fail(f"no reply to body {body}: {exc!r}")
+
+
+def raw_post_status(base, length):
+    """Status of a ``POST /v1/jobs`` that sends ``Content-Length:
+    length`` and no body. The client keeps its side open, so a daemon
+    that waits for the body times the read out."""
+    address = urllib.parse.urlsplit(base)
+    try:
+        with socket.create_connection((address.hostname, address.port),
+                                      timeout=10) as sock:
+            sock.sendall((f"POST /v1/jobs HTTP/1.1\r\n"
+                          f"Host: {address.netloc}\r\n"
+                          f"Content-Length: {length}\r\n\r\n").encode())
+            reply = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        return int(reply.split(b" ", 2)[1])
+    except (OSError, IndexError, ValueError) as exc:
+        fail(f"no reply to Content-Length {length}: {exc!r}")
+
+
+def check_bad_requests(base):
+    """Each malformed body gets 400, each bad Content-Length its 400 or
+    413; the windowed job submitted after them must still end done."""
+    for body in MALFORMED_BODIES:
+        status = post_status(base, body)
+        if status != 400:
+            fail(f"body {body} got {status}, expected 400")
+    for length, expected in BAD_LENGTHS:
+        status = raw_post_status(base, length)
+        if status != expected:
+            fail(f"Content-Length {length} got {status}, "
+                 f"expected {expected}")
+    print(f"serve_smoke: {len(MALFORMED_BODIES)} malformed bodies and "
+          f"{len(BAD_LENGTHS)} bad Content-Length headers refused")
+
+
 def main():
     tmp = tempfile.mkdtemp(prefix="repro-serve-smoke-")
     env = dict(os.environ)
@@ -88,6 +159,7 @@ def main():
     try:
         base = wait_for_listening(proc)
         print(f"serve_smoke: daemon at {base}")
+        check_bad_requests(base)
 
         body = json.dumps({"request": {
             "workload": "linear_regression", "threads": 4,
