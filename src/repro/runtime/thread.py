@@ -39,12 +39,22 @@ class ThreadState(enum.Enum):
 
 
 class _BurstState:
-    """Progress through an in-flight :class:`LoopAccess` op.
+    """Progress through ``thread``'s in-flight :class:`LoopAccess` op.
 
-    The op's fields are copied into slots once at creation: the engine's
-    fused burst loop re-reads them on every scheduling quantum, and many
-    workloads yield very short loops, so per-quantum attribute traffic on
-    the op would otherwise dominate.
+    ``consts`` packs the op's fields with the thread's core and tid into
+    one tuple, ``(base, stride, count, repeat_total, work, read, write,
+    core, tid)``: the engine's burst loops load a burst with one unpack,
+    and many workloads yield very short loops or switch threads every
+    few accesses, so per-load attribute traffic would dominate.
+    One iteration issues a read, then a write (when enabled).
+
+    The fused loop does not count as it goes. It derives the thread's
+    ``instructions``, ``mem_accesses`` and ``mem_cycles`` and the
+    machine's totals when the burst completes or pauses, from the
+    progress since the *anchors*: the thread's clock and the iteration
+    count when the burst was built or last paused, the PMU cycles
+    charged since, and the accesses and cycles its slow-path calls have
+    already added to the machine's totals since.
 
     Zero-trip loops (``count == 0`` or ``repeat == 0``) are no-ops the
     engine filters out before constructing burst state, so an in-flight
@@ -54,26 +64,21 @@ class _BurstState:
     the loop the wrong way. Enforced here, at the single choke point.
     """
 
-    __slots__ = ("op", "index", "repeat", "base", "stride", "count",
-                 "repeat_total", "work", "read", "write")
+    __slots__ = ("index", "repeat", "consts", "anchor_clock",
+                 "anchor_iters", "pmu_cycles", "slow_accesses",
+                 "slow_cycles")
 
-    def __init__(self, op: LoopAccess):
+    def __init__(self, op: LoopAccess, thread: "SimThread"):
         if op.count <= 0 or op.repeat <= 0:
             raise SimulationError(
                 "burst state requires positive extents: "
                 f"count={op.count}, repeat={op.repeat} "
                 f"(zero-trip loops must be dropped before dispatch)")
-        self.op = op
-        self.index = 0
-        self.repeat = 0
-        self.base = op.base
-        self.stride = op.stride
-        self.count = op.count
-        self.repeat_total = op.repeat
-        self.work = op.work
-        # One iteration issues a read, then a write (when enabled).
-        self.read = op.read
-        self.write = op.write
+        self.index = self.repeat = self.anchor_iters = 0
+        self.consts = (op.base, op.stride, op.count, op.repeat, op.work,
+                       op.read, op.write, thread.core, thread.tid)
+        self.anchor_clock = thread.clock
+        self.pmu_cycles = self.slow_accesses = self.slow_cycles = 0
 
 
 class SimThread:
@@ -89,6 +94,8 @@ class SimThread:
             ``Work(n)``); this is what the PMU's sampling period counts.
         mem_accesses / mem_cycles: ground-truth totals over every access
             (the profiler never sees these — it only sees samples).
+            Under the fused burst loop these three counters catch up with
+            a burst when it completes or pauses (see :class:`_BurstState`).
     """
 
     __slots__ = (

@@ -53,6 +53,7 @@ from __future__ import annotations
 import json
 import queue
 import threading
+import time
 import traceback
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -79,6 +80,13 @@ TENANT_HEADER = "X-Repro-Tenant"
 #: 413 unread. A full ``RunRequest`` with every nested config is a few KB.
 MAX_BODY_BYTES = 1 << 20
 
+#: Seconds one socket read or write of a connection may block. A client
+#: that announces a body and sends less cannot pin a handler thread: it
+#: gets 400 once a read of its body times out. Waiting for job events
+#: reads nothing from the socket, so an ``/events`` stream may stay open
+#: for as long as its job runs.
+REQUEST_TIMEOUT = 10.0
+
 
 @dataclass(frozen=True)
 class ServeConfig(ConfigBase):
@@ -101,7 +109,8 @@ class ServeConfig(ConfigBase):
             unknown tenants get 403.
         cache_dir: result-store root (None: the service default).
         sink_dir: findings-sink root (None: ``<cache_dir>/sink``).
-        drain_timeout: seconds shutdown waits for in-flight jobs.
+        drain_timeout: seconds shutdown waits for in-flight jobs, in
+            all (one deadline, however many workers).
     """
 
     host: str = "127.0.0.1"
@@ -328,9 +337,10 @@ class Daemon:
             # One sentinel per worker: each loop exits after the queue
             # drains to its sentinel.
             self._queue.put(None)
-        deadline = self.config.drain_timeout
+        # One deadline for the whole drain, however many workers.
+        deadline = time.monotonic() + self.config.drain_timeout
         for worker in self._workers:
-            worker.join(timeout=max(0.1, deadline))
+            worker.join(timeout=max(0.0, deadline - time.monotonic()))
         for process in self._processes:
             process.stop()
         self.sink.flush()
@@ -470,6 +480,8 @@ def _make_handler(daemon: Daemon):
         # HTTP/1.1 keep-alive semantics are not worth the complexity.
         protocol_version = "HTTP/1.0"
         server_version = "repro-serve/2"
+        # Socket timeout of each connection (StreamRequestHandler.setup).
+        timeout = REQUEST_TIMEOUT
 
         def log_message(self, format: str, *args: Any) -> None:
             pass  # the daemon is quiet; metrics carry the signal
@@ -502,9 +514,14 @@ def _make_handler(daemon: Daemon):
             self.wfile.write(payload)
 
         def _refuse(self, status: int, error: str) -> None:
-            """Reply without reading the body, then close the connection."""
+            """Reply without reading (the rest of) the body, then close
+            the connection; a client already gone gets no reply."""
             self.close_connection = True
-            self._send_json(status, {"error": error}, {"Connection": "close"})
+            try:
+                self._send_json(status, {"error": error},
+                                {"Connection": "close"})
+            except (BrokenPipeError, ConnectionResetError):
+                pass
 
         # -- routes --------------------------------------------------------
 
@@ -525,8 +542,17 @@ def _make_handler(daemon: Daemon):
                 self._refuse(413, "body exceeds the "
                                   f"{MAX_BODY_BYTES}-byte limit")
                 return
+            length = int(digits)
             try:
-                raw = self.rfile.read(int(digits))
+                raw = self.rfile.read(length)
+            except OSError:  # timed out, or the client reset
+                raw = b""
+            if len(raw) < length:
+                # Never decode a prefix: it may parse as a valid job.
+                self._refuse(400, "body ended or stalled before its "
+                                  f"Content-Length of {length} bytes")
+                return
+            try:
                 body = json.loads(raw) if raw else {}
             except (ValueError, RecursionError):
                 self._send_json(400, {"error": "body is not valid JSON"})

@@ -23,9 +23,13 @@ Execution paths diffed per spec:
 - ``pmu-*``     — the same set with a PMU attached, exercising the fused
                   loop's inlined sampling countdown.
 
-Specs may carry a ``checkpoints`` list of cycle numbers; the fired
-``(cycle, now)`` pairs join the fingerprint, pinning quantum boundaries
-(every loop must pause at a checkpoint-bounded limit on the same step).
+Specs may carry a ``checkpoints`` list of cycle numbers. Each fire
+joins the fingerprint as ``[cycle, now, threads, total_accesses,
+total_cycles]``, ``threads`` holding ``[tid, clock, instructions,
+mem_accesses, mem_cycles]`` per thread. That pins quantum boundaries
+(every loop must pause at a checkpoint-bounded limit on the same step)
+and the counters mid-run, not only at the end: the fused loop derives
+them per burst, so they must be right whenever anything can read them.
 
 Specs may also carry ``jitter_lead``: a program reads far fewer jitter
 draws than one chunk of the bulk stream (``repro.sim.jitter.CHUNK``),
@@ -227,10 +231,17 @@ def run_spec(spec: Dict, *, observed: bool = False, check: bool = False,
                     allocator=CheetahAllocator(
                         line_size=config.cache_line_size))
     cycles = spec.get("checkpoints") or ()
-    fired: List[List[int]] = []
+    fired: List[List] = []
+
+    def snapshot(eng, now, cycle):
+        fired.append([cycle, now,
+                      [[t.tid, t.clock, t.instructions, t.mem_accesses,
+                        t.mem_cycles] for t in eng.threads.values()],
+                      machine.total_accesses, machine.total_cycles])
+
     for cycle in cycles:
         engine.add_checkpoint(
-            cycle, lambda _eng, now, c=cycle: fired.append([c, now]))
+            cycle, lambda eng, now, c=cycle: snapshot(eng, now, c))
     result = engine.run(build_main(spec))
     return fingerprint(result, pmu_obj,
                        checkpoints=fired if cycles else None)

@@ -389,15 +389,15 @@ class Engine:
 
     def _dispatch(self, thread: SimThread, op: Op,
                   woken: List[SimThread]) -> bool:
+        if type(op) is LoopAccess:
+            if op.count and op.repeat:
+                thread.burst = _BurstState(op, thread)
+            return True
         if type(op) is Load:
             self._access(thread, op.addr, False, op.size)
             return True
         if type(op) is Store:
             self._access(thread, op.addr, True, op.size)
-            return True
-        if type(op) is LoopAccess:
-            if op.count and op.repeat:
-                thread.burst = _BurstState(op)
             return True
         if type(op) is Work:
             self._do_work(thread, op.cycles)
@@ -522,14 +522,17 @@ class Engine:
         ``self._switched_to``.
 
         This is the simulator's innermost loop, selected by :meth:`run`
-        when nothing needs to see every access: the machine's
-        private-HIT check, the thread's clock/counter updates and the
-        PMU's sampling countdown are fused into one loop over plain
-        locals, flushed back on every exit and around every slow-path
-        call. The fused loop reads jitter draws from the machine's
-        current chunk (``Machine._jit``) and consumes them and the PMU
-        countdown in exactly the same order as the general path, so all
-        outputs stay bit-identical.
+        when nothing needs to see every access. It fuses the machine's
+        private-HIT check, the thread's clock and the PMU's sampling
+        countdown into one loop over plain locals, and consumes jitter
+        draws (from the machine's current chunk, ``Machine._jit``) and
+        the countdown in exactly the same order as the general path, so
+        all outputs stay bit-identical. Per access it counts only steps:
+        the thread's ``instructions``, ``mem_accesses`` and
+        ``mem_cycles`` and the machine's ``total_accesses`` and
+        ``total_cycles`` are derived from burst progress and the clock
+        (see :class:`_BurstState`) when the burst completes or the loop
+        returns False, and a pause re-anchors the burst.
 
         When a quantum expires mid-burst, the loop does what the
         scheduler would do next, in the same frame: push the thread
@@ -538,7 +541,10 @@ class Engine:
         the next entry is current and mid-burst, no thread was woken
         this quantum, no checkpoint is pending, no pin prune or
         ``max_steps`` check is due and no obs quantum hook is wired.
-        Otherwise it returns, and :meth:`run` takes over as before.
+        Otherwise it returns, and :meth:`run` takes over as before. A
+        switch stores the clock, burst progress and PMU countdown only;
+        the counters of a thread switched away from lag until its own
+        burst completes or pauses, and nothing can read them before.
         """
         burst = thread.burst
         assert burst is not None
@@ -549,92 +555,69 @@ class Engine:
         lines_get, line_shift, hit_cost, jitter = machine._fast_state
         jit = machine._jit  # the current chunk of jitter draws
         jpos = machine._jit_pos
-        m_accesses = 0  # machine counter deltas, flushed with the locals
-        m_cycles = 0
-        steps = 0  # engine step delta, flushed with the locals
+        steps = 0  # engine step delta, flushed on exit
         # Step delta at which a pin prune or the max_steps check is due;
         # None until the first quantum expires (many bursts end first).
         switch_steps = None
 
+        clock = thread.clock
+        (base, stride, count, repeats_total, work, do_read, do_write,
+         core, tid) = burst.consts
+        index = burst.index
+        repeat = burst.repeat
         # PMU countdown (the 127-of-128 non-sampled accesses do only the
         # decrement here; fires go through the PMU's real entry points).
         if pmu is not None:
             countdown = pmu._countdown
+            cd = countdown[tid]
 
         completed = False
         try:
             while True:
-                # Thread state.
-                clock = thread.clock
-                instructions = thread.instructions
-                mem_accesses = thread.mem_accesses
-                mem_cycles = thread.mem_cycles
-                core = thread.core
-                tid = thread.tid
-                if pmu is not None:
-                    cd = countdown[tid]
-
-                # Burst progress (op constants are pre-copied into burst
-                # slots).
-                index = burst.index
-                repeat = burst.repeat
-                count = burst.count
-                repeats_total = burst.repeat_total
-                base = burst.base
-                stride = burst.stride
-                work = burst.work
-                do_read = burst.read
-                do_write = burst.write
-
                 while clock <= limit:
                     if index >= count:
                         index = 0
                         repeat += 1
-                    if repeat >= repeats_total:
-                        completed = True
-                        return True
+                        if repeat >= repeats_total:
+                            completed = True
+                            return True
                     addr = base + index * stride
                     steps += 1
-                    line = addr >> line_shift
                     # One probe covers both the read and the write of
                     # this iteration: LineState objects are mutated in
                     # place, never replaced (only a first-touch slow path
                     # below can create one, after which we re-probe). The
                     # read and write bodies are spelled out separately so
                     # each tests its own constant-folded HIT predicate.
-                    state = lines_get(line)
+                    state = lines_get(addr >> line_shift)
                     if do_read:
                         if state is not None and core in state.holders:
-                            latency = hit_cost
                             if jitter:
                                 try:
-                                    latency += jit[jpos]
+                                    latency = hit_cost + jit[jpos]
                                 except IndexError:
                                     jit = machine.next_jitter_chunk()
                                     jpos = 0
-                                    latency += jit[0]
+                                    latency = hit_cost + jit[0]
                                 jpos += 1
-                            m_accesses += 1
-                            m_cycles += latency
+                            else:
+                                latency = hit_cost
                         else:
-                            # Slow path: flush machine state, take the
-                            # full MESI/prefetch/pin path, re-load the
+                            # Slow path: flush the jitter position, take
+                            # the full MESI/prefetch/pin path (which adds
+                            # to the machine's totals itself), re-load the
                             # jitter position (and chunk: the call may
                             # have moved on to the next one).
                             machine._jit_pos = jpos
-                            machine.total_accesses += m_accesses
-                            machine.total_cycles += m_cycles
-                            m_accesses = m_cycles = 0
                             latency, _, _ = machine.access_tuple(
                                 core, addr, False, clock)
+                            burst.slow_accesses += 1
+                            burst.slow_cycles += latency
                             jit = machine._jit
                             jpos = machine._jit_pos
                             if state is None:
-                                state = lines_get(line)
+                                state = lines_get(addr >> line_shift)
                         clock += latency
-                        instructions += 1
-                        mem_accesses += 1
-                        mem_cycles += latency
                         if pmu is not None:
                             if cd > 1:
                                 cd -= 1
@@ -645,35 +628,31 @@ class Engine:
                                     self.config.word_size, clock)
                                 if extra:
                                     clock += extra
+                                    burst.pmu_cycles += extra
                                 cd = countdown[tid]
                     if do_write:
                         if state is not None and state.dirty_owner == core:
-                            latency = hit_cost
                             if jitter:
                                 try:
-                                    latency += jit[jpos]
+                                    latency = hit_cost + jit[jpos]
                                 except IndexError:
                                     jit = machine.next_jitter_chunk()
                                     jpos = 0
-                                    latency += jit[0]
+                                    latency = hit_cost + jit[0]
                                 jpos += 1
-                            m_accesses += 1
-                            m_cycles += latency
+                            else:
+                                latency = hit_cost
                         else:
                             machine._jit_pos = jpos
-                            machine.total_accesses += m_accesses
-                            machine.total_cycles += m_cycles
-                            m_accesses = m_cycles = 0
                             latency, _, _ = machine.access_tuple(
                                 core, addr, True, clock)
+                            burst.slow_accesses += 1
+                            burst.slow_cycles += latency
                             jit = machine._jit
                             jpos = machine._jit_pos
                             if state is None:
-                                state = lines_get(line)
+                                state = lines_get(addr >> line_shift)
                         clock += latency
-                        instructions += 1
-                        mem_accesses += 1
-                        mem_cycles += latency
                         if pmu is not None:
                             if cd > 1:
                                 cd -= 1
@@ -684,10 +663,10 @@ class Engine:
                                     self.config.word_size, clock)
                                 if extra:
                                     clock += extra
+                                    burst.pmu_cycles += extra
                                 cd = countdown[tid]
                     if work:
                         clock += work
-                        instructions += work
                         if pmu is not None:
                             if cd > work:
                                 cd -= work
@@ -696,6 +675,7 @@ class Engine:
                                 extra = pmu.on_work(tid, work, clock)
                                 if extra:
                                     clock += extra
+                                    burst.pmu_cycles += extra
                                 cd = countdown[tid]
                     index += 1
                 # Completed exactly at the boundary?
@@ -714,7 +694,6 @@ class Engine:
                     ready = self._ready
                     threads = self.threads
                     heapreplace = heapq.heapreplace
-                    runnable = ThreadState.RUNNABLE
                     prune_at = self._next_pin_prune
                     max_steps = self._max_steps
                     switch_steps = (
@@ -722,15 +701,13 @@ class Engine:
                         - self._steps)
                 if steps >= switch_steps:
                     return False
+                # A thread with a burst in flight is runnable: it blocks
+                # or finishes only on an op its generator yields later.
                 key = ready[0]
                 other = threads[key & _TID_MASK]
-                if (other.clock != key >> _TID_BITS or other.burst is None
-                        or other.state is not runnable):
+                if other.burst is None or other.clock != key >> _TID_BITS:
                     return False
                 thread.clock = clock
-                thread.instructions = instructions
-                thread.mem_accesses = mem_accesses
-                thread.mem_cycles = mem_cycles
                 burst.index = index
                 burst.repeat = repeat
                 if pmu is not None:
@@ -738,27 +715,41 @@ class Engine:
                 heapreplace(ready, clock << _TID_BITS | tid)
                 steps += 1  # the scheduler's step for the new quantum
                 limit = ready[0] >> _TID_BITS
+                clock = key >> _TID_BITS
                 self._switched_to = thread = other
                 burst = other.burst
-        finally:
-            # ``steps == 0`` means the first check completed the burst:
-            # nothing below the burst fields changed, so skip the flush.
-            if steps:
-                machine._jit_pos = jpos
-                machine.total_accesses += m_accesses
-                machine.total_cycles += m_cycles
-                thread.clock = clock
-                thread.instructions = instructions
-                thread.mem_accesses = mem_accesses
-                thread.mem_cycles = mem_cycles
-                self._steps += steps
+                (base, stride, count, repeats_total, work, do_read,
+                 do_write, core, tid) = burst.consts
+                index = burst.index
+                repeat = burst.repeat
                 if pmu is not None:
-                    countdown[tid] = cd
+                    cd = countdown[tid]
+        finally:
+            machine._jit_pos = jpos
+            self._steps += steps
+            thread.clock = clock
+            if pmu is not None:
+                countdown[tid] = cd
+            # Counters of the thread the loop stopped on, derived from
+            # the iterations and clock cycles since its burst's anchors.
+            iters = repeat * count + index
+            done = iters - burst.anchor_iters
+            per_iter = (1 if do_read else 0) + (1 if do_write else 0)
+            cycles = (clock - burst.anchor_clock - done * work
+                      - burst.pmu_cycles)
+            thread.instructions += done * (per_iter + work)
+            thread.mem_accesses += done * per_iter
+            thread.mem_cycles += cycles
+            machine.total_accesses += done * per_iter - burst.slow_accesses
+            machine.total_cycles += cycles - burst.slow_cycles
             if completed:
                 thread.burst = None
             else:
                 burst.index = index
                 burst.repeat = repeat
+                burst.anchor_clock = clock
+                burst.anchor_iters = iters
+                burst.pmu_cycles = burst.slow_accesses = burst.slow_cycles = 0
 
     def _run_burst_observed(self, thread: SimThread, limit: float) -> bool:
         """General burst loop, used whenever something sees every access
@@ -767,26 +758,27 @@ class Engine:
         loop in :meth:`_run_burst`."""
         burst = thread.burst
         assert burst is not None
-        op = burst.op
+        (base, stride, count, repeats_total, work, do_read, do_write,
+         _, _) = burst.consts
         word = self.config.word_size
         while thread.clock <= limit:
-            if burst.index >= op.count:
+            if burst.index >= count:
                 burst.index = 0
                 burst.repeat += 1
-            if burst.repeat >= op.repeat:
+            if burst.repeat >= repeats_total:
                 thread.burst = None
                 return True
-            addr = op.base + burst.index * op.stride
+            addr = base + burst.index * stride
             self._steps += 1
-            if op.read:
+            if do_read:
                 self._access(thread, addr, False, word)
-            if op.write:
+            if do_write:
                 self._access(thread, addr, True, word)
-            if op.work:
-                self._do_work(thread, op.work)
+            if work:
+                self._do_work(thread, work)
             burst.index += 1
         # Completed exactly at the boundary?
-        if burst.index >= op.count and burst.repeat + 1 >= op.repeat:
+        if burst.index >= count and burst.repeat + 1 >= repeats_total:
             thread.burst = None
             return True
         return False

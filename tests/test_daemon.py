@@ -21,6 +21,7 @@ from repro.errors import ConfigError, ReproError, ServiceError
 from repro.obs import DefaultObs, ObsConfig
 from repro.request import RunRequest
 from repro.service import RunService
+from repro.service import daemon as daemon_module
 from repro.service.daemon import Daemon, ServeConfig
 from repro.service.sink import FindingsSink
 
@@ -194,13 +195,16 @@ MALFORMED_BODIES = [
 ]
 
 
-def raw_post(port, headers):
-    """POST ``/v1/jobs`` with ``headers`` and no body; returns the reply
-    once the daemon closes the connection (the client keeps its side
-    open, so a daemon waiting for the body times the read out)."""
+def raw_post(port, headers, body=b"", end=False):
+    """POST ``/v1/jobs`` with ``headers`` and ``body``; returns the reply
+    once the daemon closes the connection (unless ``end``, the client
+    keeps its side open, so a daemon waiting for more body times the
+    read out)."""
     with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
         sock.sendall(("POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
-                      f"{headers}\r\n").encode())
+                      f"{headers}\r\n").encode() + body)
+        if end:
+            sock.shutdown(socket.SHUT_WR)
         reply = b""
         while True:
             chunk = sock.recv(65536)
@@ -245,6 +249,65 @@ class TestMalformedBodies:
         client = Client(daemon)
         _, submitted, _ = client.submit(NATIVE)
         assert client.wait(submitted["id"])["status"] == "done"
+
+
+@pytest.fixture
+def impatient_daemon(tmp_path, monkeypatch):
+    """A daemon whose connections time a stalled read out after 0.5 s."""
+    monkeypatch.setattr(daemon_module, "REQUEST_TIMEOUT", 0.5)
+    d = make_daemon(tmp_path)
+    yield d
+    d.shutdown()
+
+
+class TestSlowClients:
+    def test_stalled_body_gets_400_within_the_timeout(self,
+                                                      impatient_daemon):
+        start = time.monotonic()
+        # 2 of the 10 bytes announced, then silence.
+        reply = raw_post(impatient_daemon.port, "Content-Length: 10\r\n",
+                         b"{}")
+        assert time.monotonic() - start < 5
+        assert reply.startswith(b"HTTP/1.0 400 "), reply[:80]
+        assert b"Connection: close" in reply
+        assert impatient_daemon.stats()["jobs"] == {}
+
+    def test_truncated_body_gets_400_and_the_next_job_runs(
+            self, impatient_daemon):
+        # A complete job, 20 bytes short of what its header announced:
+        # decoding what arrived would accept and queue it.
+        body = json.dumps({"request": {"workload": "histogram",
+                                       "scale": 0.05}}).encode()
+        reply = raw_post(impatient_daemon.port,
+                         f"Content-Length: {len(body) + 20}\r\n", body,
+                         end=True)
+        assert reply.startswith(b"HTTP/1.0 400 "), reply[:80]
+        assert b"Connection: close" in reply
+        assert impatient_daemon.stats()["jobs"] == {}
+        client = Client(impatient_daemon)
+        _, submitted, _ = client.submit(NATIVE)
+        assert client.wait(submitted["id"])["status"] == "done"
+
+    def test_event_stream_outlives_the_timeout(self, impatient_daemon):
+        client = Client(impatient_daemon)
+        _, body, _ = client.submit(SLOW)
+        wait_for_first_event(impatient_daemon, body["id"])
+        [pid] = impatient_daemon.worker_pids()
+        os.kill(pid, signal.SIGSTOP)  # no event for twice the timeout
+        try:
+            with urllib.request.urlopen(
+                    f"{client.base}/v1/jobs/{body['id']}/events",
+                    timeout=60) as resp:
+                first = resp.readline()
+                time.sleep(1.0)
+                os.kill(pid, signal.SIGCONT)
+                events = [json.loads(line) for line in [first] + list(resp)
+                          if line.strip()]
+        finally:
+            os.kill(pid, signal.SIGCONT)
+        job = client.wait(body["id"])
+        assert job["status"] == "done"
+        assert strip_job_id(events) == job["outcome"]["streaming_findings"]
 
 
 class TestStreamingEvents:
@@ -671,6 +734,9 @@ class TestWorkerProcesses:
             _, running, _ = client.submit(SLOW)
             wait_for_first_event(daemon, running["id"])
             [pid] = daemon.worker_pids()
+            # Hold the job so that it cannot end before the drain does;
+            # stopping a busy process kills it, stopped or not.
+            os.kill(pid, signal.SIGSTOP)
             _, queued, _ = client.submit(NATIVE)  # waits behind SLOW
             assert daemon.get_job(queued["id"]).status == "queued"
         finally:

@@ -50,14 +50,25 @@ class TestRunSpec:
         assert fp["machine"][0] > 0  # total accesses
 
     def test_checkpoint_specs_fingerprint_their_fires(self):
-        spec = next(s for s in CORPUS if s.get("checkpoints"))
-        fp = run_spec(spec)
-        assert "checkpoints" in fp
-        # Every fired entry is (registered_cycle, fire_clock) with the
-        # fire at or past the registered cycle.
-        for cycle, now in fp["checkpoints"]:
-            assert cycle in spec["checkpoints"]
-            assert now >= cycle
+        fired = 0
+        for spec in (s for s in CORPUS if s.get("checkpoints")):
+            fp = run_spec(spec)
+            assert "checkpoints" in fp
+            # Every fired entry is (registered_cycle, fire_clock,
+            # per-thread counters, machine totals): the fire lands at or
+            # past the registered cycle, and no counter read mid-run
+            # exceeds its end-of-run value.
+            for cycle, now, threads, accesses, cycles in fp["checkpoints"]:
+                fired += 1
+                assert cycle in spec["checkpoints"]
+                assert now >= cycle
+                for tid, *counters in threads:
+                    end = fp["threads"][tid][:4]
+                    assert all(mid <= last
+                               for mid, last in zip(counters, end))
+                assert accesses <= fp["machine"][0]
+                assert cycles <= fp["machine"][1]
+        assert fired  # some corpus checkpoints fall before the end
 
     def test_jitter_lead_puts_a_chunk_boundary_in_the_program(self):
         # The lead-in reads all but ``jitter_lead`` draws of the first

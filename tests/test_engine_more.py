@@ -9,7 +9,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.obs import ObsConfig, Observability
 from repro.pmu.sampler import PMU, PMUConfig
-from repro.runtime.thread import _BurstState
+from repro.runtime.thread import SimThread, _BurstState
 from repro.sim.engine import _TID_MASK, Engine, Observer
 from repro.sim.machine import Machine
 from repro.sim.ops import LoopAccess
@@ -311,9 +311,16 @@ class TestRunResult:
 
 
 class TestBurstStateInvariants:
+    @staticmethod
+    def build(op):
+        thread = SimThread(tid=3, core=1, generator=iter(()),
+                           start_clock=40)
+        return _BurstState(op, thread)
+
     def test_positive_extents_accepted(self):
-        state = _BurstState(LoopAccess(0x100, 8, 4, repeat=2))
-        assert state.count == 4 and state.repeat_total == 2
+        state = self.build(LoopAccess(0x100, 8, 4, repeat=2))
+        _, _, count, repeat_total, *_ = state.consts
+        assert count == 4 and repeat_total == 2
 
     @pytest.mark.parametrize("count,repeat", [(0, 5), (5, 0), (0, 0)])
     def test_zero_extents_rejected(self, count, repeat):
@@ -321,13 +328,13 @@ class TestBurstStateInvariants:
         op.count = count
         op.repeat = repeat
         with pytest.raises(SimulationError, match="positive extents"):
-            _BurstState(op)
+            self.build(op)
 
     def test_negative_extents_rejected(self):
         op = LoopAccess(0x100, 8, 1, repeat=1)
         op.count = -3
         with pytest.raises(SimulationError, match="positive extents"):
-            _BurstState(op)
+            self.build(op)
 
     def test_zero_trip_loops_stay_noops(self):
         # The engine filters zero-trip loops before building burst
