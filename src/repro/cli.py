@@ -42,7 +42,7 @@ from repro.baselines.sheriff import SheriffDetector
 from repro.config import CLIConfigs, build_configs
 from repro.experiments import (
     adaptive, assumptions, comparison, detection, figure1, figure4, figure5,
-    figure7, linesize, parallel, scaling, synchronization, table1,
+    figure7, linesize, scaling, synchronization, table1,
 )
 from repro.context import current, using
 from repro.obs import DefaultObs, aggregate_snapshots
@@ -60,16 +60,18 @@ from repro.workloads import (
 
 EXPERIMENTS = {
     "figure1": lambda args: figure1.run(scale=args.scale),
-    "figure4": lambda args: figure4.run(scale=args.scale),
+    "figure4": lambda args: figure4.run(scale=args.scale, jobs=args.jobs),
     "figure5": lambda args: figure5.run(scale=args.scale),
     "figure7": lambda args: figure7.run(scale=args.scale),
-    "table1": lambda args: table1.run(scale=args.scale),
-    "comparison": lambda args: comparison.run(scale=args.scale),
-    "detection": lambda args: detection.run(scale=args.scale),
+    "table1": lambda args: table1.run(scale=args.scale, jobs=args.jobs),
+    "comparison": lambda args: comparison.run(scale=args.scale,
+                                              jobs=args.jobs),
+    "detection": lambda args: detection.run(scale=args.scale,
+                                            jobs=args.jobs),
     "oversubscription": lambda args: assumptions.run_oversubscription(),
     "finite-cache": lambda args: assumptions.run_finite_cache(),
     "linesize": lambda args: linesize.run(scale=args.scale),
-    "scaling": lambda args: scaling.run(scale=args.scale),
+    "scaling": lambda args: scaling.run(scale=args.scale, jobs=args.jobs),
     "synchronization": lambda args: synchronization.run(),
     "adaptive": lambda args: adaptive.run(scale=args.scale),
 }
@@ -83,6 +85,10 @@ def _run_all(args):
 
 
 EXPERIMENTS["all"] = _run_all
+
+#: Experiments whose cells ``--jobs N`` fans over N worker processes.
+JOBS_EXPERIMENTS = ("table1", "figure4", "comparison", "scaling",
+                    "detection")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -885,11 +891,6 @@ def _write_experiment_obs(args, handle: DefaultObs) -> None:
         _write_text(args.metrics, text, "aggregated metrics")
 
 
-def _report_failures(result) -> None:
-    for failure in getattr(result, "failures", ()):
-        print(f"warning: {failure.render()}", file=sys.stderr)
-
-
 def _report_cache(args, rendered: str) -> int:
     """Emit the experiment output plus the ambient service's cache stats."""
     service = current().service
@@ -910,26 +911,20 @@ def _report_cache(args, rendered: str) -> int:
 
 def cmd_experiment(args) -> int:
     configs = build_configs(args)
-    jobs = getattr(args, "jobs", None)
-    handle = None
-    if configs.obs is not None:
-        if jobs and jobs > 1:
+    handle = DefaultObs(configs.obs) if configs.obs is not None else None
+    if args.jobs and args.jobs > 1:
+        if handle is not None:
             print("note: --trace/--metrics force serial execution; "
                   "ignoring --jobs", file=sys.stderr)
-            jobs = None
-        handle = DefaultObs(configs.obs)
+            args.jobs = None
+        elif args.name not in JOBS_EXPERIMENTS:
+            print(f"note: '{args.name}' has no parallel runner; "
+                  "running serially", file=sys.stderr)
     with using(obs=handle):
-        if jobs and jobs > 1:
-            runner = parallel.RUNNERS.get(args.name)
-            if runner is None:
-                print(f"note: '{args.name}' has no parallel runner; "
-                      "running serially", file=sys.stderr)
-            else:
-                result = runner(scale=args.scale, jobs=jobs)
-                _report_failures(result)
-                return _report_cache(args, result.render())
         result = EXPERIMENTS[args.name](args)
         rendered = result.render()
+    for failure in getattr(result, "failures", ()):
+        print(f"warning: {failure.render()}", file=sys.stderr)
     if handle is not None:
         _write_experiment_obs(args, handle)
     return _report_cache(args, rendered)

@@ -18,7 +18,7 @@ context on exit. A new thread starts from an empty ``RunContext``
 (PEP 567), so nothing one thread sets is seen by another: that is what
 keeps the serve daemon's jobs apart from whatever the thread that
 started the daemon had set. Only code that owns its whole process (a
-worker-process body, a process-pool initializer) sets its context once,
+worker-process body, a worker-process initializer) sets its context once,
 with :func:`install`.
 """
 
@@ -105,6 +105,6 @@ def install(**changes: Any) -> None:
     """Apply ``changes`` to this context for good (no scope).
 
     Only for code that owns its whole process and never returns it to a
-    caller: a worker-process body, a process-pool initializer.
+    caller: a worker-process body or initializer.
     """
     _CONTEXT.set(_derive(changes))

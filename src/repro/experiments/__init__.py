@@ -15,7 +15,10 @@
   ground truth over the concurrent workload families.
 
 Each module exposes ``run(...)`` returning a result object with ``rows``
-and ``render()``.
+and ``render()``. The matrix experiments (``table1``, ``figure4``,
+``comparison``, ``scaling``, ``detection``) also take ``jobs``: with
+``jobs > 1`` their cells run in worker processes
+(:func:`repro.experiments.runner.map_cells`).
 """
 
 from repro.experiments import (  # noqa: F401

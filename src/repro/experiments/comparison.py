@@ -12,13 +12,13 @@ tabulates (detected?, overhead) per tool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.baselines.predator import PredatorDetector
 from repro.baselines.sheriff import SheriffDetector
-from repro.experiments.runner import format_table
+from repro.experiments.runner import format_table, map_cells
 from repro.run import run_workload
-from repro.service import cached_run
+from repro.service import JobFailure, cached_run
 from repro.workloads import get_workload
 
 APPLICATIONS = ("linear_regression", "streamcluster", "histogram",
@@ -45,6 +45,7 @@ class ComparisonRow:
 @dataclass
 class ComparisonResult:
     rows: List[ComparisonRow] = field(default_factory=list)
+    failures: List[JobFailure] = field(default_factory=list, compare=False)
 
     def render(self) -> str:
         table = format_table(
@@ -63,42 +64,49 @@ class ComparisonResult:
                 "significant ones at ~1.07x)\n" + table)
 
 
+def _row(cell) -> ComparisonRow:
+    name, scale, num_threads, jitter_seed, min_events = cell
+    cls = get_workload(name)
+    # Native and profiled runs are pure functions of their spec and go
+    # through the cache; the Predator/Sheriff runs attach an observer
+    # (whose findings are read back out), so they always execute.
+    native = cached_run(cls, num_threads=num_threads, scale=scale,
+                        jitter_seed=jitter_seed)
+    cheetah = cached_run(cls, num_threads=num_threads, scale=scale,
+                         jitter_seed=jitter_seed, with_cheetah=True)
+    assert cheetah.report is not None
+    predator = PredatorDetector(min_invalidations=min_events)
+    predator_run = run_workload(
+        cls(num_threads=num_threads, scale=scale),
+        jitter_seed=jitter_seed, observer=predator)
+    findings = predator.false_sharing_findings(
+        predator_run.result.allocator, predator_run.result.symbols)
+    sheriff = SheriffDetector(min_writes=min_events)
+    sheriff_run = run_workload(
+        cls(num_threads=num_threads, scale=scale),
+        jitter_seed=jitter_seed, observer=sheriff)
+    sheriff_findings = sheriff.false_sharing_findings(
+        sheriff_run.result.allocator, sheriff_run.result.symbols)
+    return ComparisonRow(
+        name=name,
+        cheetah_detected=bool(cheetah.report.significant),
+        cheetah_overhead=cheetah.runtime / native.runtime,
+        predator_detected=bool(findings),
+        predator_overhead=predator_run.runtime / native.runtime,
+        sheriff_detected=bool(sheriff_findings),
+        sheriff_overhead=sheriff_run.runtime / native.runtime,
+    )
+
+
 def run(scale: float = 1.0, num_threads: int = 16,
         jitter_seed: int = 11,
         predator_min_invalidations: int = 40,
-        applications: Sequence[str] = APPLICATIONS) -> ComparisonResult:
-    """Regenerate the Section 4.2.3 comparison."""
-    result = ComparisonResult()
-    for name in applications:
-        cls = get_workload(name)
-        # Native and profiled runs are pure functions of their spec and go
-        # through the cache; the Predator/Sheriff runs attach an observer
-        # (whose findings are read back out), so they always execute.
-        native = cached_run(cls, num_threads=num_threads, scale=scale,
-                            jitter_seed=jitter_seed)
-        cheetah = cached_run(cls, num_threads=num_threads, scale=scale,
-                             jitter_seed=jitter_seed, with_cheetah=True)
-        assert cheetah.report is not None
-        predator = PredatorDetector(
-            min_invalidations=predator_min_invalidations)
-        predator_run = run_workload(
-            cls(num_threads=num_threads, scale=scale),
-            jitter_seed=jitter_seed, observer=predator)
-        findings = predator.false_sharing_findings(
-            predator_run.result.allocator, predator_run.result.symbols)
-        sheriff = SheriffDetector(min_writes=predator_min_invalidations)
-        sheriff_run = run_workload(
-            cls(num_threads=num_threads, scale=scale),
-            jitter_seed=jitter_seed, observer=sheriff)
-        sheriff_findings = sheriff.false_sharing_findings(
-            sheriff_run.result.allocator, sheriff_run.result.symbols)
-        result.rows.append(ComparisonRow(
-            name=name,
-            cheetah_detected=bool(cheetah.report.significant),
-            cheetah_overhead=cheetah.runtime / native.runtime,
-            predator_detected=bool(findings),
-            predator_overhead=predator_run.runtime / native.runtime,
-            sheriff_detected=bool(sheriff_findings),
-            sheriff_overhead=sheriff_run.runtime / native.runtime,
-        ))
-    return result
+        applications: Sequence[str] = APPLICATIONS,
+        jobs: Optional[int] = None) -> ComparisonResult:
+    """Regenerate the Section 4.2.3 comparison (``jobs``: see
+    :func:`runner.map_cells`)."""
+    rows, failures = map_cells(
+        _row, [(name, scale, num_threads, jitter_seed,
+                predator_min_invalidations) for name in applications],
+        jobs)
+    return ComparisonResult(rows=rows, failures=failures)

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.core.profiler import CheetahConfig
-from repro.experiments.runner import format_table
-from repro.service import cached_run
+from repro.experiments.runner import format_table, map_cells
+from repro.service import JobFailure, cached_run
 from repro.sim.params import MachineConfig
 from repro.workloads import Verdict, get_workload, iter_workloads
 
@@ -65,6 +65,7 @@ class DetectionRow:
 @dataclass
 class DetectionResult:
     rows: List[DetectionRow] = field(default_factory=list)
+    failures: List[JobFailure] = field(default_factory=list, compare=False)
 
     @property
     def all_ok(self) -> bool:
@@ -107,9 +108,9 @@ def _judge(cls, observed: str, significant: bool) -> DetectionRow:
                         significant=significant, ok=ok)
 
 
-def run_one(name: str, scale: float = 1.0,
-            jitter_seed: int = 0xC0FFEE) -> DetectionRow:
+def _row(cell) -> DetectionRow:
     """One detection cell: run under Cheetah, judge against ground truth."""
+    name, scale, jitter_seed = cell
     cls = get_workload(name)
     machine = (MachineConfig(**cls.machine_defaults)
                if cls.machine_defaults else None)
@@ -124,10 +125,11 @@ def run_one(name: str, scale: float = 1.0,
 
 def run(scale: float = 1.0,
         names: Optional[Sequence[str]] = None,
-        jitter_seed: int = 0xC0FFEE) -> DetectionResult:
-    """Regenerate the detection table."""
-    result = DetectionResult()
-    for name in (names if names is not None else default_names()):
-        result.rows.append(run_one(name, scale=scale,
-                                   jitter_seed=jitter_seed))
-    return result
+        jitter_seed: int = 0xC0FFEE,
+        jobs: Optional[int] = None) -> DetectionResult:
+    """Regenerate the detection table (``jobs``: see
+    :func:`runner.map_cells`)."""
+    rows, failures = map_cells(
+        _row, [(name, scale, jitter_seed) for name in
+               (names if names is not None else default_names())], jobs)
+    return DetectionResult(rows=rows, failures=failures)

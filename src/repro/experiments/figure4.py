@@ -13,8 +13,9 @@ import statistics
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.experiments.runner import format_table, measure_overhead
+from repro.experiments.runner import format_table, map_cells, measure_overhead
 from repro.pmu.sampler import PMUConfig
+from repro.service import JobFailure
 from repro.workloads import FIGURE4_NAMES, get_workload
 
 # Overhead runs use two seeds by default: each data point is already two
@@ -36,6 +37,7 @@ class Figure4Row:
 @dataclass
 class Figure4Result:
     rows: List[Figure4Row] = field(default_factory=list)
+    failures: List[JobFailure] = field(default_factory=list, compare=False)
 
     @property
     def average(self) -> float:
@@ -70,16 +72,20 @@ class Figure4Result:
                 + "\n\n" + chart)
 
 
+def _row(cell) -> Figure4Row:
+    name, scale, seeds, pmu_config = cell
+    normalized = measure_overhead(get_workload(name), scale=scale,
+                                  seeds=seeds, pmu_config=pmu_config)
+    return Figure4Row(name=name, normalized_runtime=normalized)
+
+
 def run(scale: float = 1.0,
         seeds: Sequence[int] = OVERHEAD_SEEDS,
         names: Optional[Sequence[str]] = None,
-        pmu_config: Optional[PMUConfig] = None) -> Figure4Result:
-    """Regenerate Figure 4."""
-    result = Figure4Result()
-    for name in (names or FIGURE4_NAMES):
-        cls = get_workload(name)
-        normalized = measure_overhead(cls, scale=scale, seeds=seeds,
-                                      pmu_config=pmu_config)
-        result.rows.append(Figure4Row(name=name,
-                                      normalized_runtime=normalized))
-    return result
+        pmu_config: Optional[PMUConfig] = None,
+        jobs: Optional[int] = None) -> Figure4Result:
+    """Regenerate Figure 4 (``jobs``: see :func:`runner.map_cells`)."""
+    rows, failures = map_cells(
+        _row, [(name, scale, tuple(seeds), pmu_config)
+               for name in (names or FIGURE4_NAMES)], jobs)
+    return Figure4Result(rows=rows, failures=failures)

@@ -1,6 +1,7 @@
 """Experiment helpers over the canonical runner.
 
-The multi-seed measurement helpers behind Table 1 and Figure 4, and the
+The multi-seed measurement helpers behind Table 1 and Figure 4, the
+cell mapper the matrix experiments share (:func:`map_cells`), and the
 fixed-width table formatter every experiment's ``render()`` shares. The
 runner itself (``run_workload``, ``RunOutcome``, ``DEFAULT_SEEDS``) is
 :mod:`repro.run`.
@@ -10,13 +11,42 @@ from __future__ import annotations
 
 import dataclasses
 import statistics
-from typing import List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
+from repro.context import current
 from repro.core.profiler import CheetahConfig
 from repro.pmu.sampler import PMUConfig
 from repro.run import DEFAULT_SEEDS as _DEFAULT_SEEDS
+from repro.service import JobFailure, Scheduler, open_worker_service
 from repro.service import cached_run as _cached_run
 from repro.sim.params import MachineConfig
+
+
+def map_cells(cell_fn: Callable[[Any], Any], cells: Sequence[Any],
+              jobs: Optional[int] = None
+              ) -> Tuple[List[Any], List[JobFailure]]:
+    """``(rows, failures)`` of the top-level ``cell_fn`` over ``cells``.
+
+    A cell carries all of its inputs (workloads travel by name), so it
+    computes the same row in any process. ``jobs`` of ``None``/``0``/``1``
+    maps in this process (exceptions propagate). ``jobs > 1`` fans the
+    cells over worker processes with the ambient service's scheduler
+    policy; each worker reopens the ambient store
+    (:func:`~repro.service.open_worker_service`), and a cell that
+    exhausts its retries is left out of the rows and returned among the
+    failures. Rows stay in cell order either way.
+    """
+    if not jobs or jobs <= 1:
+        return [cell_fn(cell) for cell in cells], []
+    context = current()
+    cache = context.cache
+    make = (context.service.make_scheduler if context.service is not None
+            else Scheduler)
+    scheduler = make(jobs=jobs, initializer=open_worker_service,
+                     initargs=(str(cache.store.root) if cache else None,))
+    outcomes = scheduler.map(cell_fn, cells)
+    return ([o for o in outcomes if not isinstance(o, JobFailure)],
+            [o for o in outcomes if isinstance(o, JobFailure)])
 
 
 def measure_real_improvement(workload_cls, *, num_threads: int,

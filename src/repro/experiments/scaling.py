@@ -13,10 +13,10 @@ saturates once every cache line of the object is contended.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
-from repro.experiments.runner import format_table
-from repro.service import cached_run
+from repro.experiments.runner import format_table, map_cells
+from repro.service import JobFailure, cached_run
 from repro.workloads.phoenix import LinearRegression
 
 THREAD_COUNTS = (2, 4, 8, 16, 24, 32)
@@ -37,6 +37,7 @@ class ScalingRow:
 @dataclass
 class ScalingResult:
     rows: List[ScalingRow] = field(default_factory=list)
+    failures: List[JobFailure] = field(default_factory=list, compare=False)
 
     def render(self) -> str:
         from repro.experiments.charts import bar_chart
@@ -52,20 +53,25 @@ class ScalingResult:
                 + table + "\n\n" + chart)
 
 
+def _row(cell) -> ScalingRow:
+    scale, threads, jitter_seed = cell
+    unfixed = cached_run(
+        LinearRegression, num_threads=threads, scale=scale,
+        jitter_seed=jitter_seed)
+    fixed = cached_run(
+        LinearRegression, num_threads=threads, scale=scale,
+        fixed=True, jitter_seed=jitter_seed)
+    return ScalingRow(threads=threads, unfixed_runtime=unfixed.runtime,
+                      fixed_runtime=fixed.runtime)
+
+
 def run(scale: float = 0.5,
         thread_counts: Sequence[int] = THREAD_COUNTS,
-        jitter_seed: int = 11) -> ScalingResult:
-    """Regenerate the thread-scaling study."""
-    result = ScalingResult()
-    for threads in thread_counts:
-        unfixed = cached_run(
-            LinearRegression, num_threads=threads, scale=scale,
-            jitter_seed=jitter_seed)
-        fixed = cached_run(
-            LinearRegression, num_threads=threads, scale=scale,
-            fixed=True, jitter_seed=jitter_seed)
-        result.rows.append(ScalingRow(
-            threads=threads,
-            unfixed_runtime=unfixed.runtime,
-            fixed_runtime=fixed.runtime))
-    return result
+        jitter_seed: int = 11,
+        jobs: Optional[int] = None) -> ScalingResult:
+    """Regenerate the thread-scaling study (``jobs``: see
+    :func:`runner.map_cells`)."""
+    rows, failures = map_cells(
+        _row, [(scale, threads, jitter_seed) for threads in thread_counts],
+        jobs)
+    return ScalingResult(rows=rows, failures=failures)

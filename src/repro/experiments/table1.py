@@ -13,11 +13,13 @@ from typing import List, Optional, Sequence
 
 from repro.experiments.runner import (
     format_table,
+    map_cells,
     measure_predicted_improvement,
     measure_real_improvement,
 )
 from repro.run import DEFAULT_SEEDS
 from repro.pmu.sampler import PMUConfig
+from repro.service import JobFailure
 from repro.workloads import get_workload
 
 APPLICATIONS = ("linear_regression", "streamcluster")
@@ -52,6 +54,7 @@ class Table1Row:
 @dataclass
 class Table1Result:
     rows: List[Table1Row] = field(default_factory=list)
+    failures: List[JobFailure] = field(default_factory=list, compare=False)
 
     @property
     def worst_diff_percent(self) -> float:
@@ -72,22 +75,27 @@ class Table1Result:
                 "(paper: <10% difference on every row)\n" + table)
 
 
+def _row(cell) -> Table1Row:
+    name, threads, scale, seeds, pmu_config = cell
+    cls = get_workload(name)
+    real = measure_real_improvement(
+        cls, num_threads=threads, scale=scale, seeds=seeds)
+    predicted = measure_predicted_improvement(
+        cls, num_threads=threads, scale=scale, seeds=seeds,
+        pmu_config=pmu_config)
+    return Table1Row(application=name, threads=threads,
+                     predicted=predicted, real=real)
+
+
 def run(scale: float = 1.0,
         seeds: Sequence[int] = DEFAULT_SEEDS,
         applications: Sequence[str] = APPLICATIONS,
         thread_counts: Sequence[int] = THREAD_COUNTS,
-        pmu_config: Optional[PMUConfig] = None) -> Table1Result:
-    """Regenerate Table 1."""
-    result = Table1Result()
-    for name in applications:
-        cls = get_workload(name)
-        for threads in thread_counts:
-            real = measure_real_improvement(
-                cls, num_threads=threads, scale=scale, seeds=seeds)
-            predicted = measure_predicted_improvement(
-                cls, num_threads=threads, scale=scale, seeds=seeds,
-                pmu_config=pmu_config)
-            result.rows.append(Table1Row(
-                application=name, threads=threads,
-                predicted=predicted, real=real))
-    return result
+        pmu_config: Optional[PMUConfig] = None,
+        jobs: Optional[int] = None) -> Table1Result:
+    """Regenerate Table 1 (``jobs``: see :func:`runner.map_cells`)."""
+    rows, failures = map_cells(
+        _row, [(name, threads, scale, tuple(seeds), pmu_config)
+               for name in applications for threads in thread_counts],
+        jobs)
+    return Table1Result(rows=rows, failures=failures)

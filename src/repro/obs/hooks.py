@@ -53,6 +53,10 @@ class Observability:
             MetricsRegistry() if self.config.metrics else None)
         self._engine: Optional[Any] = None
         self._finalized = False
+        # Per-outcome accesses and cycles, kept in plain dicts on the
+        # access path (a metric update takes a lock); finalize folds them.
+        self._accesses: Dict[str, int] = {}
+        self._cycles: Dict[str, int] = {}
         reg = self.registry
         if reg is not None:
             # Hot-path metrics are pre-created so hooks never pay the
@@ -118,8 +122,8 @@ class Observability:
         inner = machine.access_tuple
         config = self.config
         registry = self.registry
-        acc = self._acc_counter if registry is not None else None
-        cyc = self._cyc_counter if registry is not None else None
+        accesses = self._accesses if registry is not None else None
+        cycles = self._cycles
         tracer = self.tracer
         coh = tracer is not None and config.trace_coherence
         raw = tracer is not None and config.trace_accesses
@@ -127,9 +131,9 @@ class Observability:
         def observed_access_tuple(core: int, addr: int, is_write: bool,
                                   now: int = 0):
             latency, kind, line = inner(core, addr, is_write, now)
-            if acc is not None:
-                acc.inc(1, kind)
-                cyc.inc(latency, kind)
+            if accesses is not None:
+                accesses[kind] = accesses.get(kind, 0) + 1
+                cycles[kind] = cycles.get(kind, 0) + latency
             if coh and kind in _COHERENCE_EVENT_KINDS:
                 track = CORE_TRACK_BASE + core
                 tracer.name_track(track, f"core {core}")
@@ -277,6 +281,9 @@ class Observability:
         if reg is None:
             return self
 
+        for kind, count in self._accesses.items():
+            self._acc_counter.inc(count, kind)
+            self._cyc_counter.inc(self._cycles[kind], kind)
         reg.gauge("sim_runtime_cycles",
                   "Main-thread runtime of the run.").set(result.runtime)
         reg.gauge("sim_steps", "Simulation steps executed.").set(result.steps)

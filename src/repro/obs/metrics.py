@@ -6,11 +6,14 @@ iteration order is deterministic (insertion order for series, sorted
 names for export), and a snapshot is a plain nested dict suitable for
 JSON. Metrics carry at most one label dimension (``outcome``, ``kind``,
 …) — enough for everything the simulator reports while keeping the
-exporter and snapshot formats trivially predictable.
+exporter and snapshot formats trivially predictable. Each update holds
+its metric's lock, and each get-or-create the registry's: the serve
+daemon and the scheduler use one registry from many threads.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
@@ -43,6 +46,7 @@ class _Metric:
         self.label = label
         # Unlabelled metrics store their value under the None key.
         self._values: Dict[Optional[str], Number] = {}
+        self._lock = threading.Lock()
 
     def value(self, label_value: Optional[str] = None) -> Number:
         """Current value of one series (0 when never touched)."""
@@ -85,7 +89,9 @@ class Counter(_Metric):
             raise ConfigError(
                 f"counter {self.name!r} cannot decrease (inc {amount})")
         self._check_label(label_value)
-        self._values[label_value] = self._values.get(label_value, 0) + amount
+        with self._lock:
+            self._values[label_value] = \
+                self._values.get(label_value, 0) + amount
 
     def total(self) -> Number:
         """Sum over all series."""
@@ -99,11 +105,14 @@ class Gauge(_Metric):
 
     def set(self, value: Number, label_value: Optional[str] = None) -> None:
         self._check_label(label_value)
-        self._values[label_value] = value
+        with self._lock:
+            self._values[label_value] = value
 
     def add(self, amount: Number, label_value: Optional[str] = None) -> None:
         self._check_label(label_value)
-        self._values[label_value] = self._values.get(label_value, 0) + amount
+        with self._lock:
+            self._values[label_value] = \
+                self._values.get(label_value, 0) + amount
 
 
 class Histogram:
@@ -123,13 +132,15 @@ class Histogram:
         self._counts: List[int] = [0] * len(self.bounds)
         self.count = 0
         self.sum: Number = 0
+        self._lock = threading.Lock()
 
     def observe(self, value: Number) -> None:
-        self.count += 1
-        self.sum += value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self._counts[index] += 1
+        with self._lock:
+            self.count += 1
+            self.sum += value
+            for index, bound in enumerate(self.bounds):
+                if value <= bound:
+                    self._counts[index] += 1
 
     def bucket_counts(self) -> List[Tuple[str, int]]:
         """Cumulative ``(le, count)`` pairs, ``+Inf`` last."""
@@ -160,23 +171,23 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Union[_Metric, Histogram]] = {}
+        self._lock = threading.Lock()
 
     def _get_or_create(self, factory, name: str, help: str, **kwargs):
-        existing = self._metrics.get(name)
-        if existing is not None:
-            if not isinstance(existing, factory):
-                raise ConfigError(
-                    f"metric {name!r} already registered as "
-                    f"{existing.kind}")
-            label = kwargs.get("label")
-            if getattr(existing, "label", None) != label and "label" in kwargs:
-                raise ConfigError(
-                    f"metric {name!r} already registered with label "
-                    f"{existing.label!r}")
-            return existing
-        metric = factory(name, help, **kwargs)
-        self._metrics[name] = metric
-        return metric
+        with self._lock:  # one object per name, however many threads ask
+            existing = self._metrics.get(name)
+            if existing is None:
+                metric = self._metrics[name] = factory(name, help, **kwargs)
+                return metric
+        if not isinstance(existing, factory):
+            raise ConfigError(
+                f"metric {name!r} already registered as {existing.kind}")
+        label = kwargs.get("label")
+        if getattr(existing, "label", None) != label and "label" in kwargs:
+            raise ConfigError(
+                f"metric {name!r} already registered with label "
+                f"{existing.label!r}")
+        return existing
 
     def counter(self, name: str, help: str = "",
                 label: Optional[str] = None) -> Counter:
@@ -188,15 +199,7 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help: str = "",
                   buckets: Sequence[Number] = DEFAULT_BUCKETS) -> Histogram:
-        existing = self._metrics.get(name)
-        if existing is not None:
-            if not isinstance(existing, Histogram):
-                raise ConfigError(
-                    f"metric {name!r} already registered as {existing.kind}")
-            return existing
-        metric = Histogram(name, help, buckets)
-        self._metrics[name] = metric
-        return metric
+        return self._get_or_create(Histogram, name, help, buckets=buckets)
 
     def get(self, name: str):
         """The registered metric, or None."""

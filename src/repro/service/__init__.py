@@ -258,7 +258,8 @@ class RunService:
 
 
 def _execute_spec_payload(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker body for :meth:`RunService.run_many` (picklable)."""
+    """Worker-process body of :meth:`RunService.run_many` and of the
+    serve daemon's cold jobs (picklable)."""
     return RunSpec.from_dict(spec_dict).execute().to_dict()
 
 
@@ -273,12 +274,12 @@ def using_service(service: RunService) -> Iterator[RunService]:
 
 
 def open_worker_service(cache_dir: Optional[str]) -> None:
-    """Process-pool initializer: recreate the ambient service.
+    """Worker-process initializer: recreate the ambient service.
 
-    Ambient state does not cross process boundaries (under the spawn
-    start method nothing does), so workers re-open the store by path.
-    ``None`` means the parent had no live cache; the worker then runs
-    uncached.
+    Runs once in each worker process as it starts. Ambient state does
+    not cross process boundaries (under the spawn start method nothing
+    does), so workers re-open the store by path. ``None`` means the
+    parent had no live cache; the worker then runs uncached.
     """
     if cache_dir is None:
         return

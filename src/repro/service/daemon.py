@@ -30,12 +30,12 @@ store commit and run counters stay in the daemon, and warm jobs (store
 hits) never leave it. A cold job (a cache miss) is simulated in the
 thread's own worker process (:class:`~repro.service.worker.WorkerProcess`,
 started with ``spawn`` on the thread's first cold job), so simulations
-run in parallel instead of under the daemon's one GIL. The process
-forwards each windowed finding over its pipe as the detector emits it,
-and the thread appends it to ``/v1/jobs/{id}/events`` at once; then the
-outcome comes back and is rehydrated byte-identically. Cached windowed
-runs replay their serialized findings (outcome schema v2) as
-immediately-available events.
+run in parallel instead of under the daemon's one GIL. The process runs
+the spec's dict through ``_execute_spec_payload`` and forwards each
+windowed finding over its pipe as the detector emits it; the thread
+appends it to ``/v1/jobs/{id}/events`` at once, then rehydrates the
+outcome dict byte-identically. Cached windowed runs replay their
+serialized findings (outcome schema v2) as immediately-available events.
 
 Tenancy never enters the outcome payload: ``RunOutcome.tenant`` stays
 ``None`` so a job's result JSON is byte-identical to a direct CLI run of
@@ -46,6 +46,8 @@ Graceful shutdown (:meth:`Daemon.shutdown`, or SIGINT under ``repro
 serve``) stops accepting connections, drains in-flight jobs up to
 ``drain_timeout`` seconds, stops every worker process, and flushes the
 sink. Worker processes ignore SIGINT, so Ctrl-C drains through here.
+The HTTP loop looks for a shutdown request every :data:`POLL_INTERVAL`
+seconds, so an idle daemon stops within that.
 """
 
 from __future__ import annotations
@@ -63,11 +65,12 @@ from urllib.parse import parse_qs, urlparse
 from repro.config import ConfigBase
 from repro.errors import ConfigError, ReproError, SchemaError, ServiceError
 from repro.obs import MetricsRegistry
-from repro.service import RunService
+from repro.run import RunOutcome
+from repro.service import RunService, _execute_spec_payload
 from repro.service.quotas import Admission
 from repro.service.sink import FindingsSink
 from repro.service.spec import RunSpec
-from repro.service.worker import WorkerError, WorkerProcess
+from repro.service.worker import WorkerProcess, describe
 
 __all__ = ["Daemon", "Job", "ServeConfig"]
 
@@ -86,6 +89,10 @@ MAX_BODY_BYTES = 1 << 20
 #: reads nothing from the socket, so an ``/events`` stream may stay open
 #: for as long as its job runs.
 REQUEST_TIMEOUT = 10.0
+
+#: Seconds the HTTP loop waits between checks for a shutdown request;
+#: :meth:`Daemon.shutdown` waits up to this long for the loop to stop.
+POLL_INTERVAL = 0.05
 
 
 @dataclass(frozen=True)
@@ -290,15 +297,15 @@ class Daemon:
         """Spawn workers and the HTTP loop (returns immediately)."""
         self._start_workers()
         self._http_thread = threading.Thread(
-            target=self._server.serve_forever, name="repro-serve-http",
-            daemon=True)
+            target=self._server.serve_forever, args=(POLL_INTERVAL,),
+            name="repro-serve-http", daemon=True)
         self._http_thread.start()
         return self
 
     def serve_forever(self) -> None:
         """Run the HTTP loop on the calling thread (the CLI path)."""
         self._start_workers()
-        self._server.serve_forever()
+        self._server.serve_forever(POLL_INTERVAL)
 
     def _start_workers(self) -> None:
         # Worker processes start lazily, on each thread's first cold
@@ -395,10 +402,16 @@ class Daemon:
     def _run_job(self, job: Job, process: WorkerProcess) -> None:
         with job.cond:
             job.status = "running"
+
+        def execute(spec: RunSpec) -> RunOutcome:
+            outcome = RunOutcome.from_dict(process.call(
+                _execute_spec_payload, spec.to_dict(),
+                on_event=lambda event: self._add_event(job, event)))
+            outcome.fresh = True  # simulated for this job, not a hit
+            return outcome
+
         try:
-            outcome = self.service.run(
-                job.spec, execute=lambda spec: process.execute(
-                    spec, lambda event: self._add_event(job, event)))
+            outcome = self.service.run(job.spec, execute=execute)
             if outcome.from_cache:
                 # A warm hit replays no live detector: surface the
                 # serialized findings as immediately-available events
@@ -412,9 +425,7 @@ class Daemon:
             if not isinstance(exc, ReproError):
                 traceback.print_exc()
             self._retire(job)
-            error = (str(exc) if isinstance(exc, WorkerError)
-                     else f"{type(exc).__name__}: {exc}")
-            job.finish("failed", error=error)
+            job.finish("failed", error=describe(exc))
             self._jobs_counter.inc(label_value="failed")
             return
         self._sink_rows.inc(rows)

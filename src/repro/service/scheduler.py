@@ -1,44 +1,55 @@
 """Resilient job scheduler: dedupe, timeout, bounded retry, degradation.
 
-The PR-1 parallel matrix fanned cells over a bare
-``ProcessPoolExecutor``: one hung or crashed worker killed the whole
-matrix. This scheduler keeps the same ordered-merge semantics (results
-come back in submission order, so serial/parallel equivalence holds) and
-adds the production behaviors around it:
+``Scheduler.map`` runs a cell function over independent cells and
+returns the results in submission order, so a matrix fanned out over
+worker processes equals its serial run. Around that it adds:
 
 - **dedupe** — identical pending jobs (same key) execute once and the
   result fans out to every position that asked for it;
-- **per-job timeout** — a worker that exceeds ``timeout`` seconds is
-  abandoned (and the pool recycled so the zombie cannot starve later
-  rounds);
+- **per-job timeout** — with ``jobs > 1``, an attempt still running
+  ``timeout`` seconds after it reached its worker process is killed;
 - **bounded retry with exponential backoff + jitter** — failed jobs are
-  re-submitted up to ``retries`` times, sleeping
+  re-run up to ``retries`` times, sleeping
   ``base * factor**(attempt-1)`` (capped) plus a deterministic jitter
   drawn from ``jitter_seed``, so transient faults heal and thundering
-  herds de-synchronize;
+  herds de-synchronize. A cell's own
+  :class:`~repro.errors.ReproError` (a ``ConfigError``, a
+  ``SchemaError``) is deterministic and fails at once;
 - **graceful degradation** — a job that exhausts its retries yields a
   structured :class:`JobFailure` in its result slot instead of raising,
   so one bad cell cannot take down the rest of the matrix.
+
+With ``jobs > 1``, ``min(jobs, unique cells)`` threads each own one
+:class:`~repro.service.worker.WorkerProcess` (replaced after a death)
+and take pending jobs in turn; every worker process is stopped before
+:meth:`Scheduler.map` returns or raises, a ``KeyboardInterrupt`` too.
 
 Determinism for tests: ``sleep`` and ``fault_hook`` are injectable, the
 backoff schedule is a pure function of the constructor arguments, and
 every delay actually requested is recorded in :attr:`Scheduler.delays`.
 
-Counters (``service_scheduler_*``) land in the PR-4
+Counters (``service_scheduler_*``) land in the
 :class:`~repro.obs.MetricsRegistry` passed at construction.
 """
 
 from __future__ import annotations
 
+import collections
 import random
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.obs import MetricsRegistry
+from repro.service.worker import (
+    WorkerError,
+    WorkerProcess,
+    WorkerTimeout,
+    describe,
+)
 
 
 @dataclass(frozen=True)
@@ -63,7 +74,7 @@ class JobFailure:
 def _run_job(fn: Callable[..., Any], cell: Any,
              fault_hook: Optional[Callable[[str, int], None]],
              key: str, attempt: int) -> Any:
-    """Top-level worker body (picklable for the spawn start method)."""
+    """One attempt at one job (picklable, to run in a worker process)."""
     if fault_hook is not None:
         fault_hook(key, attempt)
     return fn(cell)
@@ -74,9 +85,11 @@ class Scheduler:
 
     Args:
         jobs: worker processes; ``None``/``0``/``1`` runs inline in this
-            process (no timeout enforcement — there is no worker to
-            abandon — but dedupe, retry and degradation still apply).
-        timeout: per-job seconds before an attempt counts as failed.
+            process (no timeout enforcement — there is no process to
+            kill — but dedupe, retry and degradation still apply).
+        timeout: per-attempt seconds, counted from the moment the
+            attempt reaches its worker process, before the attempt is
+            killed and counts as failed.
         retries: additional attempts after the first (``retries=2`` means
             at most 3 attempts).
         backoff_base / backoff_factor / backoff_cap: exponential backoff
@@ -88,8 +101,8 @@ class Scheduler:
             counters.
         fault_hook: test-only ``(key, attempt) -> None`` invoked in the
             worker before the cell function; raising simulates a fault.
-        initializer / initargs: forwarded to the process pool (used by
-            the service to open the result store in each worker).
+        initializer / initargs: run once in each worker process as it
+            starts (the experiments use it to reopen the result store).
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -132,7 +145,7 @@ class Scheduler:
             "Job attempts re-submitted after a failure.")
         self._timeouts_total = self.registry.counter(
             "service_scheduler_timeouts_total",
-            "Job attempts abandoned for exceeding the per-job timeout.")
+            "Job attempts killed for exceeding the per-job timeout.")
         self._dedup_total = self.registry.counter(
             "service_scheduler_deduped_total",
             "Submitted cells coalesced onto an identical pending job.")
@@ -189,9 +202,12 @@ class Scheduler:
             positions.append([index])
 
         if not self.jobs or self.jobs <= 1:
-            outcomes = self._map_inline(fn, order)
+            outcomes = [
+                self._run_attempts(
+                    key, partial(_run_job, fn, cell, self._fault_hook, key))
+                for key, cell in order]
         else:
-            outcomes = self._map_pool(fn, order)
+            outcomes = self._map_workers(fn, order)
 
         results: List[Any] = [None] * len(cells)
         for job_index, outcome in enumerate(outcomes):
@@ -199,113 +215,77 @@ class Scheduler:
                 results[slot] = outcome
         return results
 
-    # -- inline execution ----------------------------------------------------
-
-    def _map_inline(self, fn, order: List[Tuple[str, Any]]) -> List[Any]:
-        outcomes = []
-        for key, cell in order:
-            outcomes.append(self._run_inline(fn, key, cell))
-        return outcomes
-
-    def _run_inline(self, fn, key: str, cell: Any) -> Any:
-        last_error = ""
-        attempts = 0
-        for attempt in range(1, self.retries + 2):
-            attempts = attempt
+    def _run_attempts(self, key: str, attempt: Callable[[int], Any],
+                      stopping: Optional[threading.Event] = None) -> Any:
+        """``attempt(n)`` for n = 1, 2, ... until one returns, the cell
+        raises its own ReproError, the retries run out or ``stopping``
+        (given in worker mode, where only a :class:`WorkerError` is the
+        cell's own exception) is set."""
+        for number in range(1, self.retries + 2):
             try:
-                result = _run_job(fn, cell, self._fault_hook, key, attempt)
+                result = attempt(number)
+            except WorkerTimeout as exc:
+                self._timeouts_total.inc()
+                kind, error = "timeout", str(exc)
             except Exception as exc:
-                last_error = repr(exc)
-                if attempt <= self.retries:
-                    self._retries_total.inc()
-                    self._backoff(attempt)
-                continue
-            self._jobs_total.inc(label_value="completed")
-            return result
+                kind, error = "exception", describe(exc)
+                if (exc.repro_error if isinstance(exc, WorkerError)
+                        else stopping is None and isinstance(exc, ReproError)):
+                    break  # the cell's own ReproError: it fails alike again
+            else:
+                self._jobs_total.inc(label_value="completed")
+                return result
+            if number > self.retries or (stopping and stopping.is_set()):
+                break
+            self._retries_total.inc()
+            self._backoff(number)
         self._jobs_total.inc(label_value="failed")
-        return JobFailure(key=key, kind="exception", error=last_error,
-                          attempts=attempts)
+        return JobFailure(key=key, kind=kind, error=error, attempts=number)
 
-    # -- pool execution ------------------------------------------------------
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.jobs,
-                                   initializer=self._initializer,
-                                   initargs=self._initargs)
-
-    def _map_pool(self, fn, order: List[Tuple[str, Any]]) -> List[Any]:
-        pending = list(range(len(order)))  # job indexes still unresolved
+    def _map_workers(self, fn, order: List[Tuple[str, Any]]) -> List[Any]:
         outcomes: List[Any] = [None] * len(order)
-        attempts = [0] * len(order)
-        last_error = [""] * len(order)
-        last_kind = ["exception"] * len(order)
-        pool = self._make_pool()
-        try:
-            round_no = 0
-            while pending:
-                round_no += 1
-                submitted = []
-                for job_index in pending:
-                    key, cell = order[job_index]
-                    attempts[job_index] += 1
-                    future = pool.submit(_run_job, fn, cell,
-                                         self._fault_hook, key,
-                                         attempts[job_index])
-                    submitted.append((job_index, future, time.monotonic()))
-                failed: List[int] = []
-                timed_out = False
-                for job_index, future, started in submitted:
+        pending = collections.deque(range(len(order)))  # thread-safe pops
+        stopping = threading.Event()
+        errors: List[BaseException] = []
+
+        def drain(worker: WorkerProcess) -> None:
+            try:
+                while not stopping.is_set():
                     try:
-                        if self.timeout is None:
-                            result = future.result()
-                        else:
-                            remaining = max(
-                                0.0, self.timeout
-                                - (time.monotonic() - started))
-                            result = future.result(timeout=remaining)
-                    except FutureTimeout:
-                        future.cancel()
-                        timed_out = True
-                        self._timeouts_total.inc()
-                        last_error[job_index] = (
-                            f"timed out after {self.timeout}s")
-                        last_kind[job_index] = "timeout"
-                        failed.append(job_index)
-                    except BrokenProcessPool as exc:
-                        # The pool died under us (worker killed); rebuild
-                        # it and count the job as a retryable failure.
-                        timed_out = True
-                        last_error[job_index] = repr(exc)
-                        last_kind[job_index] = "exception"
-                        failed.append(job_index)
-                    except Exception as exc:
-                        last_error[job_index] = repr(exc)
-                        last_kind[job_index] = "exception"
-                        failed.append(job_index)
-                    else:
-                        outcomes[job_index] = result
-                        self._jobs_total.inc(label_value="completed")
-                if timed_out:
-                    # Abandoned futures may still be running inside their
-                    # workers; recycle the pool so zombies cannot starve
-                    # subsequent rounds.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = self._make_pool()
-                still_pending = []
-                for job_index in failed:
-                    if attempts[job_index] <= self.retries:
-                        self._retries_total.inc()
-                        still_pending.append(job_index)
-                    else:
-                        key, _ = order[job_index]
-                        outcomes[job_index] = JobFailure(
-                            key=key, kind=last_kind[job_index],
-                            error=last_error[job_index],
-                            attempts=attempts[job_index])
-                        self._jobs_total.inc(label_value="failed")
-                pending = still_pending
-                if pending:
-                    self._backoff(round_no)
+                        job_index = pending.popleft()
+                    except IndexError:
+                        return
+                    key, cell = order[job_index]
+                    outcomes[job_index] = self._run_attempts(
+                        key, partial(worker.call, _run_job, fn, cell,
+                                     self._fault_hook, key,
+                                     timeout=self.timeout),
+                        stopping)
+            except BaseException as exc:  # re-raised by map
+                errors.append(exc)
+                stopping.set()
+            finally:
+                worker.stop()
+
+        workers = [WorkerProcess(f"repro-scheduler-worker-{n}",
+                                 self._initializer, self._initargs)
+                   for n in range(min(self.jobs, len(order)))]
+        threads = [threading.Thread(target=drain, args=(worker,),
+                                    name=worker.name, daemon=True)
+                   for worker in workers]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                while thread.is_alive():
+                    thread.join(0.1)  # wakes up for a KeyboardInterrupt
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            stopping.set()
+            for worker in workers:
+                worker.stop()  # kills a busy process: its call fails
+            for thread in threads:
+                if thread.is_alive():
+                    thread.join()
+        if errors:
+            raise errors[0]
         return outcomes

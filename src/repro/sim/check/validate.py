@@ -82,10 +82,9 @@ def run_fuzzer(seed: int, iterations: int, echo=print) -> List[dict]:
 def run_parallel_equivalence(echo=print) -> List[str]:
     """Serial vs. --jobs 2 experiment runners must produce equal rows."""
     from repro.experiments import scaling
-    from repro.experiments.parallel import run_scaling
 
     serial = scaling.run(scale=0.1, thread_counts=(2, 4))
-    fanned = run_scaling(scale=0.1, thread_counts=(2, 4), jobs=2)
+    fanned = scaling.run(scale=0.1, thread_counts=(2, 4), jobs=2)
     failures = []
     for left, right in zip(serial.rows, fanned.rows):
         if left != right:

@@ -536,6 +536,12 @@ class TestGracefulShutdown:
         daemon.shutdown()
         daemon.shutdown()
 
+    def test_idle_shutdown_is_prompt(self, daemon):
+        Client(daemon).request("/healthz")  # the HTTP loop is running
+        start = time.monotonic()
+        daemon.shutdown()
+        assert time.monotonic() - start < 0.2
+
 
 def make_daemon(tmp_path, workers=1, drain_timeout=60.0, **kwargs):
     return Daemon(ServeConfig(

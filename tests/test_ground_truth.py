@@ -236,9 +236,9 @@ class TestDetectionExperiment:
         assert "ok" in result.render()
 
     def test_parallel_matches_serial(self):
-        from repro.experiments import detection, parallel
+        from repro.experiments import detection
         names = ["work_stealing_deque", "seqlock_read_mostly"]
         serial = detection.run(scale=0.75, names=names)
-        fanned = parallel.run_detection(scale=0.75, names=names, jobs=2)
+        fanned = detection.run(scale=0.75, names=names, jobs=2)
         assert fanned.rows == serial.rows
         assert not fanned.failures

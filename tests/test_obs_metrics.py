@@ -1,5 +1,8 @@
 """Tests for the metrics registry and the run-level conservation laws."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import ConfigError
@@ -77,6 +80,62 @@ class TestHistogram:
         assert 'cost_bucket{le="2"} 1' in lines
         assert 'cost_bucket{le="+Inf"} 1' in lines
         assert "cost_count 1" in lines
+
+
+class TestThreadSafety:
+    def test_concurrent_updates_are_never_lost(self):
+        """4 threads x 20,000 updates of each kind, switching threads
+        often: every read-modify-write must land."""
+        counter = Counter("hits_total", label="outcome")
+        gauge = Gauge("level")
+        histogram = Histogram("sizes", buckets=(1, 2))
+        per_thread = 20_000
+
+        def hammer():
+            for _ in range(per_thread):
+                counter.inc(1, "hit")
+                gauge.add(1)
+                histogram.observe(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert counter.value("hit") == 4 * per_thread
+        assert gauge.value() == 4 * per_thread
+        assert histogram.count == histogram.sum == 4 * per_thread
+        assert histogram.bucket_counts()[0] == ("1", 4 * per_thread)
+
+    def test_concurrent_first_requests_share_one_metric(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                registry = MetricsRegistry()
+                barrier = threading.Barrier(4)
+                got = []
+
+                def request():
+                    barrier.wait()
+                    got.append(registry.gauge("queue_depth"))
+
+                threads = [threading.Thread(target=request)
+                           for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert len({id(gauge) for gauge in got}) == 1
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRegistry:

@@ -3,15 +3,28 @@
 Faults are injected through the scheduler's ``fault_hook`` (runs in the
 worker before the cell function; raising simulates a crash) and time is
 controlled by an injectable ``sleep``, so retry/backoff behavior is
-asserted exactly — no real waiting, no flaky timing.
+asserted exactly. The pool tests run real worker processes, so their
+timeouts and interrupts are real, with margins of half a second or more.
 """
 
+import _thread
+import multiprocessing
+import os
+import signal
+import threading
 import time
 
 import pytest
 
-from repro.errors import ServiceError
-from repro.service import JobFailure, Scheduler
+from repro.errors import ConfigError, ServiceError
+from repro.experiments import scaling
+from repro.service import (
+    JobFailure,
+    RunService,
+    RunSpec,
+    Scheduler,
+    using_service,
+)
 
 
 def _square(cell):
@@ -23,6 +36,15 @@ def _sleep_forever(cell):
     return cell
 
 
+def _nap(cell):
+    time.sleep(0.6)
+    return cell
+
+
+def _bad_config(cell):
+    raise ConfigError(f"cell {cell} is misconfigured")
+
+
 class _FailTimes:
     """Picklable fault hook failing the first ``n`` attempts per key."""
 
@@ -32,6 +54,18 @@ class _FailTimes:
     def __call__(self, key, attempt):
         if attempt <= self.n:
             raise RuntimeError(f"injected fault on attempt {attempt}")
+
+
+def _kill_first_attempt(key, attempt):
+    """Fault hook: the worker process dies on attempt 1."""
+    if attempt == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _fail_by_key(key, attempt):
+    """Fault hook: ``bad-*`` keys always fail, ``flaky-*`` ones once."""
+    if key.startswith("bad") or (key.startswith("flaky") and attempt == 1):
+        raise RuntimeError(f"injected fault on {key}, attempt {attempt}")
 
 
 class TestInline:
@@ -106,6 +140,17 @@ class TestInline:
         counters = sched.registry.snapshot()["counters"]
         assert counters["service_scheduler_jobs_total"]["failed"] == 2
 
+    def test_cells_own_repro_error_is_not_retried(self):
+        slept = []
+        sched = Scheduler(jobs=1, retries=2, sleep=slept.append)
+        [out] = sched.map(_bad_config, [7])
+        assert out == JobFailure(
+            key="cell-0", kind="exception",
+            error="ConfigError: cell 7 is misconfigured", attempts=1)
+        assert slept == []
+        counters = sched.registry.snapshot()["counters"]
+        assert counters["service_scheduler_retries_total"] == 0
+
     def test_invalid_construction_rejected(self):
         with pytest.raises(ServiceError):
             Scheduler(retries=-1)
@@ -144,6 +189,85 @@ class TestPool:
         out = sched.map(_hang_on_marker, cells)
         assert out[0] == 1 and out[2] == 3
         assert isinstance(out[1], JobFailure)
+
+
+    def test_cells_own_repro_error_is_not_retried(self):
+        slept = []
+        sched = Scheduler(jobs=2, retries=2, sleep=slept.append)
+        out = sched.map(_bad_config, [7, 8])
+        assert [o.attempts for o in out] == [1, 1]
+        assert out[0].error == "ConfigError: cell 7 is misconfigured"
+        assert slept == []
+
+    def test_timed_out_attempt_leaves_no_process(self):
+        sched = Scheduler(jobs=2, timeout=0.5, retries=1,
+                          sleep=lambda _: None)
+        [out] = sched.map(_sleep_forever, [30])
+        assert out.kind == "timeout" and out.attempts == 2
+        assert multiprocessing.active_children() == []
+
+    def test_timeout_counts_from_when_the_attempt_reaches_a_worker(self):
+        # Each worker takes three cells in turn: the later ones wait
+        # longer than the timeout before they start.
+        sched = Scheduler(jobs=2, timeout=1.0, retries=0)
+        assert sched.map(_nap, list(range(6))) == list(range(6))
+
+    def test_killed_worker_is_retried_on_a_fresh_process(self):
+        sched = Scheduler(jobs=2, retries=1, sleep=lambda _: None,
+                          fault_hook=_kill_first_attempt)
+        assert sched.map(_square, [7]) == [49]
+        counters = sched.registry.snapshot()["counters"]
+        assert counters["service_scheduler_retries_total"] == 1
+        assert counters["service_scheduler_jobs_total"] == {"completed": 1}
+
+    def test_keyboard_interrupt_stops_every_worker(self):
+        timer = threading.Timer(1.5, _thread.interrupt_main)
+        timer.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                Scheduler(jobs=2, retries=0).map(_sleep_forever, [1, 2])
+        finally:
+            timer.cancel()
+        assert multiprocessing.active_children() == []
+
+    def test_counters_are_exact_across_worker_threads(self):
+        keys = ([f"ok-{n}" for n in range(6)] + ["ok-0", "ok-1"]
+                + [f"flaky-{n}" for n in range(3)] + ["bad-0", "bad-1"])
+        sched = Scheduler(jobs=3, retries=1, sleep=lambda _: None,
+                          fault_hook=_fail_by_key)
+        out = sched.map(_square, list(range(len(keys))), keys=keys)
+        assert sum(isinstance(o, JobFailure) for o in out) == 2
+        counters = sched.registry.snapshot()["counters"]
+        assert counters["service_scheduler_jobs_total"] == {
+            "completed": 9, "failed": 2}
+        assert counters["service_scheduler_retries_total"] == 5
+        assert counters["service_scheduler_deduped_total"] == 2
+        assert counters["service_scheduler_timeouts_total"] == 0
+
+
+class TestWorkerInitializer:
+    def test_jobs_run_fills_the_parent_store(self, tmp_path):
+        """Each worker reopens the ambient service's store, so what the
+        cells simulated is served to the parent afterwards."""
+        service = RunService(cache_dir=tmp_path / "cache")
+        with using_service(service):
+            fanned = scaling.run(scale=0.1, thread_counts=(2, 4), jobs=2)
+            assert not fanned.failures
+            assert service.stats()["entries"] == 4
+            assert scaling.run(scale=0.1, thread_counts=(2, 4)) == fanned
+        assert service.stats()["runs"] == {"hit": 4}
+
+
+class TestRunMany:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unknown_workload_fails_at_once(self, tmp_path, jobs):
+        service = RunService(cache_dir=tmp_path / "cache",
+                             sleep=lambda _: None)
+        [out] = service.run_many([RunSpec(workload="no_such_workload")],
+                                 jobs=jobs)
+        assert isinstance(out, JobFailure)
+        assert out.attempts == 1
+        assert out.error.startswith("ConfigError: ")
 
 
 def _hang_on_marker(cell):
