@@ -43,6 +43,7 @@ from repro.core.profiler import CheetahConfig, CheetahReport
 from repro.errors import ConfigError
 from repro.obs import ObsConfig, Observability
 from repro.pmu.sampler import PMUConfig
+from repro.request import apply_knobs
 from repro.run import RunOutcome, run_workload
 from repro.service import RunSpec, spec_for_workload_cls
 from repro.sim.engine import Observer
@@ -103,10 +104,10 @@ class Session:
         cheetah: full :class:`~repro.core.profiler.CheetahConfig`.
         detector_mode: ``"offline"`` or ``"windowed"``; folded into
             ``cheetah`` (like ``detector``, the explicit kwarg wins).
-        adaptive: ``True`` enables the adaptive PMU policy with default
-            knobs (folded into ``pmu``); pass a full ``pmu`` config with
-            its own :class:`~repro.pmu.adaptive.AdaptiveConfig` for
-            fine-grained control.
+        adaptive: ``True`` enables the ``pmu.adaptive`` policy (default
+            knobs unless ``pmu`` sets them), counting hotness at the
+            machine's cache-line size; folded, like ``detector_mode``,
+            by :func:`repro.request.apply_knobs`, as RunRequest's are.
         obs: :class:`~repro.obs.ObsConfig` (each run gets its own
             collector) or a single unwired
             :class:`~repro.obs.Observability`.
@@ -167,12 +168,8 @@ class Session:
                 f"generator function, got {type(workload).__name__}")
         if detector is not None:
             cheetah = (cheetah or CheetahConfig()).replace(detector=detector)
-        if detector_mode is not None:
-            cheetah = (cheetah or CheetahConfig()).replace(
-                detector_mode=detector_mode)
-        if adaptive:
-            base = pmu or PMUConfig()
-            pmu = base.replace(adaptive=base.adaptive.replace(enabled=True))
+        machine, pmu, cheetah = apply_knobs(
+            machine, pmu, cheetah, detector=detector_mode, adaptive=adaptive)
         self.jitter_seed = jitter_seed
         self.machine = machine
         self.pmu = pmu

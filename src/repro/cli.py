@@ -499,12 +499,11 @@ def cmd_record(args) -> int:
                 "sanitizer; sanitize the run with 'repro run --check'")
     except ConfigError as exc:
         return _refuse("record", exc)
-    cls = get_workload(args.workload)
-    workload = cls(**configs.workload_kwargs)
+    spec = configs.request.to_spec()
     recorder, meta = record_workload(
-        workload, machine_config=configs.machine,
-        jitter_seed=configs.jitter_seed, limit=args.limit,
-        with_cheetah=args.record_profile, cheetah_config=configs.cheetah)
+        spec.build_workload(), machine_config=spec.machine,
+        jitter_seed=spec.jitter_seed, limit=args.limit,
+        with_cheetah=args.record_profile, cheetah_config=spec.cheetah)
     out = args.out or f"{args.workload}.trace.gz"
     written = save_trace(recorder.records, out, meta=meta)
     payload = {
@@ -728,16 +727,9 @@ def cmd_predict(args) -> int:
     from repro.errors import ConfigError
     if args.validate:
         from repro.predict import validate as predict_validate
-        argv = []
-        if args.smoke:
-            argv.append("--smoke")
-        if args.workloads:
-            argv += ["--workloads", args.workloads]
-        if args.seed != 11:
-            argv += ["--seed", str(args.seed)]
-        if args.json:
-            argv.append("--json")
-        return predict_validate.main(argv)
+        return predict_validate.main(smoke=args.smoke,
+                                     workloads=args.workloads,
+                                     seed=args.seed, as_json=args.json)
     if not args.workload:
         raise ConfigError(
             "predict needs a workload name (or --validate to run the "
@@ -824,25 +816,22 @@ def cmd_compare(args) -> int:
         return _refuse("compare", "--fixed is not supported: compare runs "
                        "every tool on the original layout")
     configs = build_configs(args)
-    cls = get_workload(args.workload)
-    kwargs = dict(num_threads=configs.workload_kwargs["num_threads"],
-                  scale=configs.workload_kwargs["scale"])
-    seed = configs.jitter_seed
-    machine = configs.machine
+    spec = configs.request.to_spec()
     # Observer runs must execute (their findings are read off the live
     # allocator); the native and Cheetah runs go through the cache.
-    session = configs.request.replace(fixed=False).session(
-        check=configs.check)
+    session = _session(configs)
     native = session.run()
     cheetah = session.profile()
     predator = PredatorDetector(min_invalidations=40)
-    predator_run = run_workload(cls(**kwargs), jitter_seed=seed,
-                                machine_config=machine, observer=predator,
-                                check=configs.check)
+    predator_run = run_workload(spec.build_workload(),
+                                jitter_seed=spec.jitter_seed,
+                                machine_config=spec.machine,
+                                observer=predator, check=configs.check)
     sheriff = SheriffDetector()
-    sheriff_run = run_workload(cls(**kwargs), jitter_seed=seed,
-                               machine_config=machine, observer=sheriff,
-                               check=configs.check)
+    sheriff_run = run_workload(spec.build_workload(),
+                               jitter_seed=spec.jitter_seed,
+                               machine_config=spec.machine,
+                               observer=sheriff, check=configs.check)
 
     rows = [
         ("Cheetah", bool(cheetah.report.significant),
@@ -932,14 +921,8 @@ def cmd_experiment(args) -> int:
 
 def cmd_validate(args) -> int:
     from repro.sim.check import validate
-    argv = []
-    if args.smoke:
-        argv.append("--smoke")
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    if args.iterations is not None:
-        argv += ["--iterations", str(args.iterations)]
-    code = validate.main(argv)
+    code = validate.main(smoke=args.smoke, seed=args.seed,
+                         iterations=args.iterations)
     if args.json:
         _print_json({"command": "validate", "ok": code == 0})
     return code

@@ -17,9 +17,11 @@ provided by :class:`ConfigBase`:
   a method, so callers need not import ``dataclasses`` to vary one
   field.
 
-The CLI builds all of its configs through :func:`build_configs`, one
-helper mapping a parsed ``argparse`` namespace onto the config objects
-instead of ad-hoc kwargs plumbing per subcommand.
+The CLI maps each parsed ``argparse`` namespace through
+:func:`build_configs`, which returns the command's
+:class:`~repro.request.RunRequest` (when it names a workload), its
+observability config and its coherence-check flag; the request alone
+turns run knobs into configs.
 """
 
 from __future__ import annotations
@@ -169,26 +171,18 @@ class ConfigBase:
 class CLIConfigs:
     """Everything :func:`build_configs` derives from a CLI namespace."""
 
-    workload_kwargs: Dict[str, Any]
-    jitter_seed: int
-    machine: Optional[Any]  # MachineConfig
-    pmu: Optional[Any]      # PMUConfig
-    cheetah: Optional[Any]  # CheetahConfig
-    obs: Optional[Any]      # ObsConfig
-    cache_enabled: bool = True
-    cache_dir: Optional[str] = None  # None: repro.service.default_cache_dir
-    jobs: Optional[int] = None
+    #: The :class:`repro.request.RunRequest` the command names; None for
+    #: subcommands without a workload.
+    request: Optional[Any]
+    obs: Optional[Any]  # ObsConfig
     check: bool = False  # run under the coherence sanitizer
-    #: The unified :class:`repro.request.RunRequest` the configs above
-    #: were derived from; None for subcommands without a workload.
-    request: Optional[Any] = None
 
 
 def build_configs(args: Any) -> CLIConfigs:
-    """Map a parsed CLI namespace onto the public config dataclasses.
+    """Map a parsed CLI namespace onto a run request and its observation.
 
     Every ``repro`` subcommand that runs a workload funnels its arguments
-    through here, so flag-to-config wiring lives in exactly one place.
+    through here, so flag-to-request wiring lives in exactly one place.
     Missing attributes fall back to their defaults, which lets commands
     with different flag subsets share the helper.
     """
@@ -201,14 +195,6 @@ def build_configs(args: Any) -> CLIConfigs:
     def get(name: str, default: Any = None) -> Any:
         return getattr(args, name, default)
 
-    workload_kwargs: Dict[str, Any] = {
-        "num_threads": get("threads"),
-        "scale": get("scale", 1.0),
-        "fixed": bool(get("fixed", False)),
-    }
-
-    line_size = get("line_size")
-    cores = get("cores")
     mode = get("mode")
     check = bool(get("check", False))
     want_trace = bool(get("trace")) or get("command") == "trace"
@@ -235,36 +221,29 @@ def build_configs(args: Any) -> CLIConfigs:
                 "predicted runs have no full simulation timeline to "
                 "observe; use --mode simulate")
 
-    # Every selection knob funnels through one RunRequest; the configs
-    # below are *derived* from it, so the CLI, Session, RunService and
-    # the serve daemon's HTTP body all resolve knobs identically.
-    # Subcommands without a workload (experiment, cache, ...) share the
-    # derivation through a placeholder request that is not exposed.
-    workload = get("workload")
-    command = get("command")
-    request = RunRequest(
-        workload=workload if isinstance(workload, str) and workload else "_",
-        threads=workload_kwargs["num_threads"],
-        scale=workload_kwargs["scale"],
-        fixed=workload_kwargs["fixed"],
-        seed=0,
-        jitter_seed=get("seed", 0xC0FFEE),
-        profile=(bool(get("profile", False))
-                 or command in ("profile", "predict")),
-        mode=mode,
-        detector=get("detector"),
-        adaptive=bool(get("adaptive", False)),
-        period=get("period"),
-        true_sharing=bool(get("true_sharing", False)),
-        line_size=line_size,
-        cores=cores,
-        numa_nodes=get("numa_nodes"),
-        remote_fetch_penalty=get("remote_fetch_penalty"),
-        remote_transfer_penalty=get("remote_transfer_penalty"),
-    )
-    machine = request.machine_config()
-    pmu = request.pmu_config()
-    cheetah = request.cheetah_config()
+    # Every run knob goes into the one RunRequest; Session, RunService
+    # and the serve daemon's HTTP body resolve it to configs the same way.
+    request = None
+    if get("workload") is not None:
+        request = RunRequest(
+            workload=get("workload"),
+            threads=get("threads"),
+            scale=get("scale", 1.0),
+            fixed=bool(get("fixed", False)),
+            jitter_seed=get("seed", 0xC0FFEE),
+            profile=(bool(get("profile", False))
+                     or get("command") in ("profile", "predict")),
+            mode=mode,
+            detector=get("detector"),
+            adaptive=bool(get("adaptive", False)),
+            period=get("period"),
+            true_sharing=bool(get("true_sharing", False)),
+            line_size=get("line_size"),
+            cores=get("cores"),
+            numa_nodes=get("numa_nodes"),
+            remote_fetch_penalty=get("remote_fetch_penalty"),
+            remote_transfer_penalty=get("remote_transfer_penalty"),
+        )
 
     obs = None
     if want_trace or want_metrics:
@@ -274,17 +253,4 @@ def build_configs(args: Any) -> CLIConfigs:
             trace_accesses=bool(get("accesses", False)),
             max_events=get("max_events") or ObsConfig.max_events,
         )
-
-    return CLIConfigs(
-        workload_kwargs=workload_kwargs,
-        jitter_seed=get("seed", 0xC0FFEE),
-        machine=machine,
-        pmu=pmu,
-        cheetah=cheetah,
-        obs=obs,
-        cache_enabled=bool(get("cache", True)),
-        cache_dir=get("cache_dir"),
-        jobs=get("jobs"),
-        check=check,
-        request=request if request.workload != "_" else None,
-    )
+    return CLIConfigs(request=request, obs=obs, check=check)

@@ -29,6 +29,7 @@ from repro.core.profiler import CheetahConfig
 from repro.experiments.runner import format_table, map_cells
 from repro.service import JobFailure, cached_run
 from repro.sim.params import MachineConfig
+from repro.trace.record import workload_verdict
 from repro.workloads import Verdict, get_workload, iter_workloads
 
 def default_names() -> List[str]:
@@ -40,16 +41,6 @@ def default_names() -> List[str]:
         if name not in names:
             names.append(name)
     return names
-
-
-def observed_verdict(report) -> str:
-    """Collapse a Cheetah report to the three-way workload verdict."""
-    kinds = {instance.kind.value for instance in report.all_instances}
-    if "false sharing" in kinds:
-        return "false sharing"
-    if "true sharing" in kinds:
-        return "true sharing"
-    return "no sharing"
 
 
 @dataclass
@@ -119,7 +110,7 @@ def _row(cell) -> DetectionRow:
         machine_config=machine,
         cheetah_config=CheetahConfig(report_true_sharing=True))
     report = outcome.report
-    return _judge(cls, observed_verdict(report),
+    return _judge(cls, workload_verdict(report),
                   bool(report.significant))
 
 

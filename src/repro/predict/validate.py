@@ -23,9 +23,7 @@ without gating on it. ``repro predict --validate`` calls :func:`main`.
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -258,43 +256,32 @@ def render_table(results: Sequence[WorkloadResult],
     return "\n".join(lines)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro predict --validate",
-        description="cross-validate analytical prediction against full "
-                    "simulation")
-    parser.add_argument("--smoke", action="store_true",
-                        help="quick CI subset")
-    parser.add_argument("--workloads",
-                        help="comma-separated workload names (overrides "
-                             "the built-in set; uses each set entry's "
-                             "threads/scale or 8/1.0 for new names)")
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    args = parser.parse_args(list(argv) if argv is not None else None)
+def main(smoke: bool = False, workloads: Optional[str] = None,
+         seed: int = 11, as_json: bool = False) -> int:
+    """``repro predict --validate``: 0 when the harness passes.
 
-    cases = list(SMOKE_SET if args.smoke else VALIDATION_SET)
-    if args.workloads:
-        wanted = [w.strip() for w in args.workloads.split(",") if w.strip()]
+    ``smoke`` runs :data:`SMOKE_SET`; ``workloads`` (comma-separated)
+    overrides the set, taking each set entry's threads/scale or 8/1.0
+    for new names; ``as_json`` prints one JSON report instead of the
+    table.
+    """
+    cases = list(SMOKE_SET if smoke else VALIDATION_SET)
+    if workloads:
+        wanted = [w.strip() for w in workloads.split(",") if w.strip()]
         known = {name: (name, threads, scale)
                  for name, threads, scale in VALIDATION_SET}
         cases = [known.get(w, (w, 8, 1.0)) for w in wanted]
 
-    results = run_validation(cases, seed=args.seed)
+    results = run_validation(cases, seed=seed)
     summary = summarize(results)
     report: Dict[str, object] = {"summary": summary,
                                  "results": [r.to_dict() for r in results]}
-    if not args.json:
+    if not as_json:
         print(render_table(results, summary), flush=True)
-    if not (args.smoke or args.workloads):
-        report["fast_forward"] = measure_fast_forward(seed=args.seed)
-        if not args.json:
+    if not (smoke or workloads):
+        report["fast_forward"] = measure_fast_forward(seed=seed)
+        if not as_json:
             print(render_fast_forward(report["fast_forward"]))
-    if args.json:
+    if as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if summary["passed"] else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

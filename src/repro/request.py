@@ -22,10 +22,12 @@ JSON-round-trippable dataclass. Each layer builds *from* it:
 - the ``repro serve`` daemon accepts its dict form as the
   ``POST /v1/jobs`` body (``{"request": {...}}``).
 
-The collapse is *lossless*: :meth:`machine_config`,
-:meth:`pmu_config` and :meth:`cheetah_config` produce exactly the
-configs the pre-v2 plumbing would have built, returning ``None`` when
-every corresponding knob is at its default — which keeps
+:func:`apply_knobs` is the one function that folds scalar knobs into
+configs: :meth:`RunRequest.machine_config`, :meth:`~RunRequest.pmu_config`
+and :meth:`~RunRequest.cheetah_config` call it, and so does
+``Session.__init__`` for its ``detector_mode`` and ``adaptive``
+arguments, so every spelling of one run resolves to one spec. A config
+stays ``None`` while no knob touches it, which keeps
 :meth:`~repro.service.spec.RunSpec.key` content hashes identical to
 hand-built specs (``None`` configs canonicalize to their defaults).
 """
@@ -33,18 +35,66 @@ hand-built specs (``None`` configs canonicalize to their defaults).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Optional, Tuple
 
 from repro.config import ConfigBase
 from repro.core.profiler import CheetahConfig
 from repro.errors import ConfigError
-from repro.pmu.adaptive import AdaptiveConfig
 from repro.pmu.sampler import PMUConfig
 from repro.sim.params import MachineConfig, check_cycles, check_jitter_seed
 
 _KERNELS = ("fused", "vector", "auto")
 _MODES = ("simulate", "predict", "sampled")
 _DETECTORS = ("offline", "windowed")
+#: The scalar knobs :func:`apply_knobs` folds, as named on RunRequest.
+_KNOBS = ("kernel", "mode", "line_size", "cores", "numa_nodes",
+          "remote_fetch_penalty", "remote_transfer_penalty", "period",
+          "adaptive", "detector", "true_sharing")
+
+
+def apply_knobs(machine: Optional[MachineConfig] = None,
+                pmu: Optional[PMUConfig] = None,
+                cheetah: Optional[CheetahConfig] = None, *,
+                kernel: Optional[str] = None, mode: Optional[str] = None,
+                line_size: Optional[int] = None, cores: Optional[int] = None,
+                numa_nodes: Optional[int] = None,
+                remote_fetch_penalty: Optional[int] = None,
+                remote_transfer_penalty: Optional[int] = None,
+                period: Optional[int] = None, adaptive: bool = False,
+                detector: Optional[str] = None, true_sharing: bool = False,
+                ) -> Tuple[Optional[MachineConfig], Optional[PMUConfig],
+                           Optional[CheetahConfig]]:
+    """The ``(machine, pmu, cheetah)`` configs with the scalar knobs
+    (named as on :class:`RunRequest`) applied on top of the base ones.
+
+    A base config is returned as given, ``None`` included, unless a knob
+    sets one of its fields. ``adaptive=True`` enables the base
+    ``pmu.adaptive`` policy, keeping its other fields, and counts
+    hotness at the resolved machine's ``cache_line_size``.
+    """
+    changes = {name: value for name, value in (
+        ("kernel", kernel), ("mode", mode), ("cache_line_size", line_size),
+        ("num_cores", cores), ("numa_nodes", numa_nodes),
+        ("remote_fetch_penalty", remote_fetch_penalty),
+        ("remote_transfer_penalty", remote_transfer_penalty))
+        if value is not None}
+    if changes:
+        machine = (machine or MachineConfig()).replace(**changes)
+    if period is not None:
+        pmu = (pmu or PMUConfig()).replace(period=period)
+    if adaptive:
+        pmu = pmu or PMUConfig()
+        pmu = pmu.replace(adaptive=pmu.adaptive.replace(
+            enabled=True,
+            line_size=(machine or MachineConfig()).cache_line_size))
+    changes = {}
+    if detector is not None:
+        changes["detector_mode"] = detector
+    if true_sharing:
+        changes["report_true_sharing"] = True
+    if changes:
+        cheetah = (cheetah or CheetahConfig()).replace(**changes)
+    return machine, pmu, cheetah
 
 
 @dataclass(frozen=True)
@@ -70,7 +120,9 @@ class RunRequest(ConfigBase):
             ``None`` keeps the machine default.
         detector: detection mode (``offline`` / ``windowed``); ``None``
             keeps the Cheetah default.
-        adaptive: enable the adaptive PMU sampling policy.
+        adaptive: enable the adaptive PMU sampling policy (the
+            ``pmu.adaptive`` one, counting hotness at the machine's
+            cache-line size; see :func:`apply_knobs`).
         period: PMU sampling period in instructions.
         true_sharing: include true-sharing instances in the report.
         line_size / cores: machine geometry overrides.
@@ -149,72 +201,36 @@ class RunRequest(ConfigBase):
                     or self.detector is not None or self.true_sharing
                     or self.pmu is not None or self.cheetah is not None)
 
+    def _configs(self) -> Tuple[Optional[MachineConfig], Optional[PMUConfig],
+                                Optional[CheetahConfig]]:
+        return apply_knobs(self.machine, self.pmu, self.cheetah,
+                           **{name: getattr(self, name) for name in _KNOBS})
+
     def machine_config(self) -> Optional[MachineConfig]:
         """The machine config this request names, or ``None`` for the
         defaults (``None`` and ``MachineConfig()`` hash identically in a
         :class:`~repro.service.spec.RunSpec`)."""
-        if (self.machine is None and self.kernel is None and self.mode is None
-                and self.line_size is None and self.cores is None
-                and self.numa_nodes is None
-                and self.remote_fetch_penalty is None
-                and self.remote_transfer_penalty is None):
-            return None
-        base = self.machine or MachineConfig()
-        changes: Dict[str, Any] = {}
-        if self.kernel is not None:
-            changes["kernel"] = self.kernel
-        if self.mode is not None:
-            changes["mode"] = self.mode
-        if self.line_size is not None:
-            changes["cache_line_size"] = self.line_size
-        if self.cores is not None:
-            changes["num_cores"] = self.cores
-        if self.numa_nodes is not None:
-            changes["numa_nodes"] = self.numa_nodes
-        if self.remote_fetch_penalty is not None:
-            changes["remote_fetch_penalty"] = self.remote_fetch_penalty
-        if self.remote_transfer_penalty is not None:
-            changes["remote_transfer_penalty"] = self.remote_transfer_penalty
-        return base.replace(**changes) if changes else base
+        return self._configs()[0]
 
     def pmu_config(self) -> Optional[PMUConfig]:
         """The PMU config, or ``None`` for the defaults."""
-        if self.pmu is None and self.period is None and not self.adaptive:
-            return None
-        base = self.pmu or PMUConfig()
-        if self.period is not None:
-            base = base.replace(period=self.period)
-        if self.adaptive:
-            line = (self.line_size if self.line_size is not None
-                    else MachineConfig().cache_line_size)
-            base = base.replace(
-                adaptive=AdaptiveConfig(enabled=True, line_size=line))
-        return base
+        return self._configs()[1]
 
     def cheetah_config(self) -> Optional[CheetahConfig]:
         """The Cheetah config, or ``None`` for the defaults."""
-        if (self.cheetah is None and self.detector is None
-                and not self.true_sharing):
-            return None
-        base = self.cheetah or CheetahConfig()
-        changes: Dict[str, Any] = {}
-        if self.detector is not None:
-            changes["detector_mode"] = self.detector
-        if self.true_sharing:
-            changes["report_true_sharing"] = True
-        return base.replace(**changes) if changes else base
+        return self._configs()[2]
 
     # -- the three resolutions every layer shares ----------------------------
 
     def to_spec(self):
         """The content-addressed :class:`~repro.service.spec.RunSpec`."""
         from repro.service.spec import RunSpec
+        machine, pmu, cheetah = self._configs()
         return RunSpec(
             workload=self.workload, threads=self.threads, scale=self.scale,
             fixed=self.fixed, workload_seed=self.seed,
             jitter_seed=self.jitter_seed, with_cheetah=self.profiled,
-            machine=self.machine_config(), pmu=self.pmu_config(),
-            cheetah=self.cheetah_config())
+            machine=machine, pmu=pmu, cheetah=cheetah)
 
     def session(self, *, obs: Any = None, observer: Any = None,
                 check: bool = False):
@@ -225,12 +241,12 @@ class RunRequest(ConfigBase):
         so they stay arguments rather than fields.
         """
         from repro.api import Session
+        machine, pmu, cheetah = self._configs()
         return Session(
             self.workload, threads=self.threads, scale=self.scale,
             fixed=self.fixed, seed=self.seed, jitter_seed=self.jitter_seed,
-            machine=self.machine_config(), pmu=self.pmu_config(),
-            cheetah=self.cheetah_config(), obs=obs, observer=observer,
-            check=check)
+            machine=machine, pmu=pmu, cheetah=cheetah, obs=obs,
+            observer=observer, check=check)
 
     def execute(self):
         """Run this request directly (no cache): the daemon's miss path

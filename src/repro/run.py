@@ -138,8 +138,9 @@ class RunOutcome:
     #: True for outcomes that carry a :class:`RunSummary` like cached
     #: outcomes do, but were computed for this call, not served from a
     #: cache: fresh predictions of the analytical modes
-    #: (``mode="predict"``/``"sampled"``) and runs the serve daemon's
-    #: worker processes simulated. Not serialized; a rehydrated payload
+    #: (``mode="predict"``/``"sampled"``) and runs that worker
+    #: processes simulated for the serve daemon or
+    #: ``RunService.run_many``. Not serialized; a rehydrated payload
     #: reads as cached (a prediction's ``predicted`` metadata survives).
     fresh: bool = False
     #: Live PMU / profiler of a freshly simulated cheetah run (for

@@ -205,7 +205,8 @@ class RunService:
         matrix survives individual cells dying. Outcomes computed by
         worker processes come back in serialized form and are
         rehydrated, so their ``result`` is a
-        :class:`~repro.run.RunSummary`.
+        :class:`~repro.run.RunSummary`; they read as fresh, not
+        ``from_cache``.
         """
         results: List[Any] = [None] * len(specs)
         keys = [spec.key() for spec in specs]
@@ -229,7 +230,7 @@ class RunService:
             if isinstance(payload, JobFailure):
                 results[index] = payload
                 continue
-            outcome = RunOutcome.from_dict(payload)
+            outcome = _fresh_outcome(payload)
             if use_cache:
                 self.store.put(keys[index], outcome)
             self._runs.inc(label_value="executed")
@@ -261,6 +262,14 @@ def _execute_spec_payload(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
     """Worker-process body of :meth:`RunService.run_many` and of the
     serve daemon's cold jobs (picklable)."""
     return RunSpec.from_dict(spec_dict).execute().to_dict()
+
+
+def _fresh_outcome(payload: Dict[str, Any]) -> RunOutcome:
+    """The outcome of an ``_execute_spec_payload`` call: rehydrated, and
+    fresh, since it was simulated for this call, not read from a store."""
+    outcome = RunOutcome.from_dict(payload)
+    outcome.fresh = True
+    return outcome
 
 
 # -- ambient service ---------------------------------------------------------

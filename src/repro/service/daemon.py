@@ -66,7 +66,7 @@ from repro.config import ConfigBase
 from repro.errors import ConfigError, ReproError, SchemaError, ServiceError
 from repro.obs import MetricsRegistry
 from repro.run import RunOutcome
-from repro.service import RunService, _execute_spec_payload
+from repro.service import RunService, _execute_spec_payload, _fresh_outcome
 from repro.service.quotas import Admission
 from repro.service.sink import FindingsSink
 from repro.service.spec import RunSpec
@@ -404,11 +404,9 @@ class Daemon:
             job.status = "running"
 
         def execute(spec: RunSpec) -> RunOutcome:
-            outcome = RunOutcome.from_dict(process.call(
+            return _fresh_outcome(process.call(
                 _execute_spec_payload, spec.to_dict(),
                 on_event=lambda event: self._add_event(job, event)))
-            outcome.fresh = True  # simulated for this job, not a hit
-            return outcome
 
         try:
             outcome = self.service.run(job.spec, execute=execute)

@@ -22,7 +22,6 @@ program with ``repro validate --seed <seed> --iterations 1`` (add
 
 from __future__ import annotations
 
-import argparse
 import sys
 from typing import List, Optional
 
@@ -109,36 +108,24 @@ def run_selftest(echo=print) -> List[str]:
     return []
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-validate",
-        description="Coherence sanitizer invariant suite + differential "
-                    "fuzzer + mutation self-test.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="short CI variant: fewer workloads and fuzz "
-                             "programs, skip the parallel-equivalence stage")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="base seed for the differential fuzzer "
-                             "(re-run a reported divergence with --seed N "
-                             "--iterations 1)")
-    parser.add_argument("--iterations", type=int, default=None,
-                        help="fuzz program count (default: "
-                             f"{FULL_ITERATIONS}, smoke: {SMOKE_ITERATIONS})")
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    iterations = args.iterations
+def main(smoke: bool = False, seed: Optional[int] = None,
+         iterations: Optional[int] = None) -> int:
+    """Run every stage; 0 when all pass. ``smoke`` is the short CI
+    variant (fewer workloads and fuzz programs, no parallel-equivalence
+    stage); ``seed`` is the fuzzer's base seed (default
+    :data:`DEFAULT_SEED`) and ``iterations`` its program count
+    (default :data:`FULL_ITERATIONS`, smoke :data:`SMOKE_ITERATIONS`)."""
+    if seed is None:
+        seed = DEFAULT_SEED
     if iterations is None:
-        iterations = SMOKE_ITERATIONS if args.smoke else FULL_ITERATIONS
+        iterations = SMOKE_ITERATIONS if smoke else FULL_ITERATIONS
 
     failures: List = []
     print("[1/4] invariant suite (sanitized workload runs)")
-    failures += run_invariant_suite(smoke=args.smoke)
+    failures += run_invariant_suite(smoke=smoke)
     print("[2/4] differential fuzzer")
-    failures += run_fuzzer(args.seed, iterations)
-    if args.smoke:
+    failures += run_fuzzer(seed, iterations)
+    if smoke:
         print("[3/4] parallel equivalence: skipped (--smoke)")
     else:
         print("[3/4] parallel equivalence (serial vs --jobs 2)")
@@ -151,7 +138,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     print("\nvalidate: all checks passed")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

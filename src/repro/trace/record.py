@@ -11,7 +11,7 @@ original process.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.core.profiler import CheetahConfig
 from repro.run import RunOutcome, run_workload
@@ -33,7 +33,13 @@ def workload_verdict(report) -> str:
     ``"no sharing"``. Run the profiler with ``report_true_sharing=True``
     so true-sharing instances are visible to this collapse.
     """
-    kinds = {r.kind.value for r in report.all_instances}
+    return sharing_verdict(r.kind.value for r in report.all_instances)
+
+
+def sharing_verdict(kinds: Iterable[str]) -> str:
+    """The three-way verdict over sharing kinds (``Kind`` values):
+    false sharing beats true sharing beats no sharing."""
+    kinds = set(kinds)
     if "false sharing" in kinds:
         return "false sharing"
     if "true sharing" in kinds:

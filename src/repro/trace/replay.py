@@ -135,6 +135,7 @@ def replay_outcome(records: Iterable[TraceRecord],
     from repro.run import RunOutcome, RunSummary, ThreadSummary
     from repro.sim.machine import Machine
     from repro.sim.params import MachineConfig
+    from repro.trace.record import sharing_verdict
 
     meta = meta or {}
     machine_cfg = (MachineConfig.from_dict(meta["machine"])
@@ -148,50 +149,38 @@ def replay_outcome(records: Iterable[TraceRecord],
     fraction = (true_sharing_fraction if true_sharing_fraction is not None
                 else detector.config.true_sharing_fraction)
 
-    sampler = None
-    if period is not None:
-        if period < 1:
-            raise ConfigError(f"replay period must be >= 1, got {period}")
-        rng = random.Random(seed)
-        spread = int(period * 0.25)
-        sampler = [period + (rng.randint(-spread, spread) if spread else 0)]
+    if period is not None and period < 1:
+        raise ConfigError(f"replay period must be >= 1, got {period}")
 
     threads: Dict[int, ThreadSummary] = {}
-    count = 0
-    replayed = 0
-    for r in records:
-        count += 1
-        # Machine path: ground-truth coherence under the recorded config.
-        machine.access_tuple(r.core, r.addr, r.is_write, r.index)
-        summary = threads.get(r.tid)
-        if summary is None:
-            summary = ThreadSummary(
-                tid=r.tid, name=f"tid{r.tid}", core=r.core,
-                start_clock=0, end_clock=None, instructions=0,
-                mem_accesses=0, mem_cycles=0, barrier_waits=0)
-            threads[r.tid] = summary
-        summary.mem_accesses += 1
-        summary.mem_cycles += r.latency
-        summary.instructions += 1
-        # Detector path, optionally downsampled.
-        if sampler is not None:
-            sampler[0] -= 1
-            if sampler[0] > 0:
-                continue
-            sampler[0] = period + (rng.randint(-spread, spread)
-                                   if spread else 0)
-        sample = MemorySample(tid=r.tid, core=r.core, addr=r.addr,
-                              is_write=r.is_write, latency=r.latency,
-                              size=r.size, timestamp=r.index)
-        detector.on_sample(sample, r.tid != 0)
-        replayed += 1
+
+    def machine_path() -> Iterator[TraceRecord]:
+        """Ground-truth coherence under the recorded config: every
+        record passes through the machine on its way to the detector."""
+        for r in records:
+            machine.access_tuple(r.core, r.addr, r.is_write, r.index)
+            summary = threads.get(r.tid)
+            if summary is None:
+                summary = ThreadSummary(
+                    tid=r.tid, name=f"tid{r.tid}", core=r.core,
+                    start_clock=0, end_clock=None, instructions=0,
+                    mem_accesses=0, mem_cycles=0, barrier_waits=0)
+                threads[r.tid] = summary
+            summary.mem_accesses += 1
+            summary.mem_cycles += r.latency
+            summary.instructions += 1
+            yield r
+
+    stream = machine_path()
+    if period is not None:
+        stream = downsample(stream, period, seed=seed)
+    replayed = replay_into_detector(stream, detector, serial_tids={0})
+    count = sum(summary.mem_accesses for summary in threads.values())
 
     allocator, symbols = _regions_from_meta(meta)
     objects: List[Dict[str, Any]] = []
-    kinds = set()
     for profile in detector.build_objects(allocator, symbols):
         kind = profile.classify(fraction)
-        kinds.add(kind.value)
         objects.append({
             "label": profile.label,
             "kind": kind.value,
@@ -202,17 +191,11 @@ def replay_outcome(records: Iterable[TraceRecord],
             "accesses": profile.accesses,
             "writes": profile.writes,
         })
-    if "false sharing" in kinds:
-        verdict = "false sharing"
-    elif "true sharing" in kinds:
-        verdict = "true sharing"
-    else:
-        verdict = "no sharing"
     objects.sort(key=lambda o: o["invalidations"], reverse=True)
 
     metadata: Dict[str, Any] = {
         "replay": True,
-        "verdict": verdict,
+        "verdict": sharing_verdict(o["kind"] for o in objects),
         "objects": objects,
         "trace_records": count,
         "replayed_samples": replayed,

@@ -133,19 +133,22 @@ class TestBuildConfigs:
         return argparse.Namespace(**kwargs)
 
     def test_defaults(self):
-        cfg = build_configs(self._args())
-        assert cfg.machine is None and cfg.pmu is None and cfg.obs is None
-        assert cfg.workload_kwargs == {"num_threads": None, "scale": 1.0,
-                                       "fixed": False}
+        cfg = build_configs(self._args(workload="histogram"))
+        request = cfg.request
+        assert request.machine_config() is None
+        assert request.pmu_config() is None and cfg.obs is None
+        assert (request.threads, request.scale, request.fixed) == (
+            None, 1.0, False)
 
     def test_machine_from_flags(self):
-        cfg = build_configs(self._args(line_size=32, cores=4))
-        assert cfg.machine.cache_line_size == 32
-        assert cfg.machine.num_cores == 4
+        cfg = build_configs(self._args(workload="histogram", line_size=32,
+                                       cores=4))
+        assert cfg.request.machine_config().cache_line_size == 32
+        assert cfg.request.machine_config().num_cores == 4
 
     def test_period_builds_pmu(self):
-        cfg = build_configs(self._args(period=64))
-        assert cfg.pmu.period == 64
+        cfg = build_configs(self._args(workload="histogram", period=64))
+        assert cfg.request.pmu_config().period == 64
 
     def test_trace_flag_builds_obs(self):
         cfg = build_configs(self._args(trace="out.json"))

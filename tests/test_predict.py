@@ -421,18 +421,21 @@ class TestBuildConfigsModeValidation:
         return ns
 
     def test_mode_maps_to_machine_config(self):
-        configs = build_configs(self._args(mode="predict"))
-        assert configs.machine.mode == "predict"
-        assert build_configs(self._args()).machine is None
+        configs = build_configs(self._args(workload="synthetic",
+                                           mode="predict"))
+        assert configs.request.machine_config().mode == "predict"
+        assert build_configs(self._args(
+            workload="synthetic")).request.machine_config() is None
 
     def test_predict_with_check_rejected(self):
         with pytest.raises(ConfigError, match="--mode predict.*--check"):
             build_configs(self._args(mode="predict", check=True))
 
     def test_sampled_with_check_allowed(self):
-        configs = build_configs(self._args(mode="sampled", check=True))
+        configs = build_configs(self._args(workload="synthetic",
+                                           mode="sampled", check=True))
         assert configs.check is True
-        assert configs.machine.mode == "sampled"
+        assert configs.request.machine_config().mode == "sampled"
 
     def test_mode_with_trace_rejected(self):
         with pytest.raises(ConfigError, match="--trace"):
@@ -443,9 +446,10 @@ class TestBuildConfigsModeValidation:
             build_configs(self._args(mode="sampled", command="metrics"))
 
     def test_mode_simulate_combines_freely(self):
-        configs = build_configs(self._args(mode="simulate", check=True,
+        configs = build_configs(self._args(workload="synthetic",
+                                           mode="simulate", check=True,
                                            trace="out.json"))
-        assert configs.machine.mode == "simulate"
+        assert configs.request.machine_config().mode == "simulate"
 
 
 class TestPredictCLI:

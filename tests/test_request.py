@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.profiler import CheetahConfig
 from repro.errors import ConfigError
+from repro.pmu.adaptive import AdaptiveConfig
 from repro.pmu.sampler import PMUConfig
 from repro.request import RunRequest
 from repro.service.spec import RunSpec
@@ -160,6 +161,58 @@ class TestConfigResolution:
         adaptive = request.pmu_config().adaptive
         assert adaptive.enabled
         assert adaptive.line_size == 32
+
+
+class TestOneFolding:
+    """Session and RunRequest fold knobs through one function, so every
+    spelling of a run names one spec."""
+
+    def test_line_size_spellings_share_one_key(self):
+        from repro.api import Session
+        line32 = MachineConfig(cache_line_size=32)
+        specs = [
+            Session("streamcluster", adaptive=True,
+                    machine=line32)._spec(with_cheetah=True),
+            RunRequest(workload="streamcluster", adaptive=True,
+                       machine=line32).to_spec(),
+            RunRequest(workload="streamcluster", adaptive=True,
+                       line_size=32).to_spec(),
+        ]
+        assert len({spec.key() for spec in specs}) == 1
+        for spec in specs:
+            assert spec.pmu.adaptive.enabled
+            assert spec.pmu.adaptive.line_size == 32
+
+    def test_adaptive_keeps_the_base_policy(self):
+        request = RunRequest(
+            workload="histogram", adaptive=True,
+            pmu=PMUConfig(adaptive=AdaptiveConfig(min_period=50)))
+        adaptive = request.pmu_config().adaptive
+        assert adaptive.enabled
+        assert adaptive.min_period == 50
+
+    def test_default_adaptive_request_keeps_its_key(self):
+        spec = RunSpec(workload="histogram", with_cheetah=True,
+                       pmu=PMUConfig(adaptive=AdaptiveConfig(enabled=True)))
+        request = RunRequest(workload="histogram", adaptive=True)
+        assert request.to_spec().key() == spec.key()
+
+    def test_only_the_cli_builds_an_argument_parser(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+        root = Path(repro.__file__).parent
+        builders = set()
+        for path in root.rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                func = node.func if isinstance(node, ast.Call) else None
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else getattr(func, "id", None))
+                if name == "ArgumentParser":
+                    builders.add(path.relative_to(root).as_posix())
+        assert builders == {"cli.py"}
 
 
 class TestSpecEquivalence:

@@ -120,17 +120,20 @@ class TestRunService:
             _service(tmp_path).run("array_increment")
 
     def test_run_many_dedupes_and_caches(self, tmp_path):
-        service = _service(tmp_path)
         other = RunSpec(workload="array_increment", threads=2, scale=0.1,
                         jitter_seed=8)
-        out = service.run_many([SPEC, SPEC, other])
-        assert all(isinstance(o, RunOutcome) for o in out)
-        assert out[0].runtime == out[1].runtime  # deduped onto one job
-        assert service.stats()["entries"] == 2
-        # Second call: all three served from the store.
-        again = service.run_many([SPEC, SPEC, other])
-        assert all(o.from_cache for o in again)
-        assert [o.runtime for o in again] == [o.runtime for o in out]
+        for jobs in (1, 2):  # in this process, then in worker processes
+            service = _service(tmp_path / f"jobs{jobs}")
+            out = service.run_many([SPEC, SPEC, other], jobs=jobs)
+            assert all(isinstance(o, RunOutcome) for o in out)
+            # Simulated for this call, so none reads as a cache hit.
+            assert not any(o.from_cache for o in out)
+            assert out[0].runtime == out[1].runtime  # deduped onto one job
+            assert service.stats()["entries"] == 2
+            # Second call: all three served from the store.
+            again = service.run_many([SPEC, SPEC, other], jobs=jobs)
+            assert all(o.from_cache for o in again)
+            assert [o.runtime for o in again] == [o.runtime for o in out]
 
     def test_run_many_degrades_to_job_failure(self, tmp_path):
         def explode(key, attempt):
