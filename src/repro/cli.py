@@ -32,7 +32,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext, redirect_stdout
 from typing import Iterator, List, Optional
 
 from repro import __version__
@@ -48,6 +48,7 @@ from repro.context import current, using
 from repro.obs import DefaultObs, aggregate_snapshots
 from repro.run import run_workload
 from repro.service import RunService, default_cache_dir, using_service
+from repro.sim.params import MachineConfig
 from repro.workloads import (
     Verdict,
     all_workload_names,
@@ -554,7 +555,6 @@ def cmd_replay(args) -> int:
         store = ResultStore(args.cache_dir or default_cache_dir())
         key = _replay_cache_key(args)
         outcome = store.get(key)
-    from_cache = outcome is not None
     if outcome is None:
         meta = load_trace_meta(args.trace_file)
         outcome = replay_outcome(
@@ -574,7 +574,7 @@ def cmd_replay(args) -> int:
             "trace_records": md["trace_records"],
             "replayed_samples": md["replayed_samples"],
             "machine_invalidations": md["machine_invalidations"],
-            "from_cache": from_cache,
+            "from_cache": outcome.from_cache,
         })
         return 0 if md["verdict"] == "false sharing" else 1
     workload = md.get("workload") or {}
@@ -584,7 +584,7 @@ def cmd_replay(args) -> int:
               f"scale={workload.get('scale')})")
     print(f"trace:          {args.trace_file} "
           f"({md['trace_records']:,} records"
-          + (", cached" if from_cache else "") + ")")
+          + (", cached" if outcome.from_cache else "") + ")")
     print(f"replayed:       {md['replayed_samples']:,} sample(s)"
           + (f" (period {md['period']})" if md.get("period") else ""))
     print(f"invalidations:  {md['machine_invalidations']:,} "
@@ -723,8 +723,26 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+#: ``repro predict`` options only a prediction run reads, and options
+#: only ``--validate`` reads; each is refused on the other side
+#: (``--seed``, ``--json`` and the cache flags serve both).
+PREDICT_RUN_ONLY = ("workload", "threads", "scale", "fixed", "line_size",
+                    "cores", "mode", "check", "period")
+PREDICT_VALIDATE_ONLY = ("smoke", "workloads")
+
+
 def cmd_predict(args) -> int:
     from repro.errors import ConfigError
+    defaults = build_parser().parse_args(["predict"])
+    unread = PREDICT_RUN_ONLY if args.validate else PREDICT_VALIDATE_ONLY
+    refused = ", ".join(
+        "a workload name" if dest == "workload"
+        else "--" + dest.replace("_", "-")
+        for dest in unread if getattr(args, dest) != getattr(defaults, dest))
+    if refused:
+        where = "with" if args.validate else "without"
+        return _refuse("predict", f"{refused}: not supported {where} "
+                       "--validate")
     if args.validate:
         from repro.predict import validate as predict_validate
         return predict_validate.main(smoke=args.smoke,
@@ -822,12 +840,15 @@ def cmd_compare(args) -> int:
     session = _session(configs)
     native = session.run()
     cheetah = session.profile()
-    predator = PredatorDetector(min_invalidations=40)
+    machine = spec.machine or MachineConfig()
+    geometry = dict(line_size=machine.cache_line_size,
+                    word_size=machine.word_size)
+    predator = PredatorDetector(min_invalidations=40, **geometry)
     predator_run = run_workload(spec.build_workload(),
                                 jitter_seed=spec.jitter_seed,
                                 machine_config=spec.machine,
                                 observer=predator, check=configs.check)
-    sheriff = SheriffDetector()
+    sheriff = SheriffDetector(**geometry)
     sheriff_run = run_workload(spec.build_workload(),
                                jitter_seed=spec.jitter_seed,
                                machine_config=spec.machine,
@@ -921,8 +942,10 @@ def cmd_experiment(args) -> int:
 
 def cmd_validate(args) -> int:
     from repro.sim.check import validate
-    code = validate.main(smoke=args.smoke, seed=args.seed,
-                         iterations=args.iterations)
+    # Under --json the stage lines go to stderr: stdout is the JSON alone.
+    with redirect_stdout(sys.stderr) if args.json else nullcontext():
+        code = validate.main(smoke=args.smoke, seed=args.seed,
+                             iterations=args.iterations)
     if args.json:
         _print_json({"command": "validate", "ok": code == 0})
     return code

@@ -10,7 +10,9 @@
 - :mod:`repro.core.report` — report rendering in the paper's Figure 5
   format;
 - :mod:`repro.core.profiler` — :class:`CheetahProfiler`, wiring PMU
-  samples through detection and assessment into a report.
+  samples through detection and assessment into a report, and
+  :func:`~repro.core.profiler.build_report`, the one report policy that
+  the profiler and predict mode share.
 """
 
 from repro.core.advisor import PaddingAdvice, advise

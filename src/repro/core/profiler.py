@@ -4,7 +4,8 @@ Mirrors the runtime-library architecture of the paper's Figure 2: the
 *data collection* module (the PMU handler installed here) filters samples
 to heap and global addresses and feeds the *FS detection* module; at the
 end of the execution the *FS assessment* module predicts the impact of
-each instance and the *FS report* module keeps only the significant ones.
+each instance and the *FS report* module keeps only the significant ones
+(:func:`build_report`, which predict mode calls too).
 
 Typical use::
 
@@ -19,17 +20,17 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.assessment import (
-    Assessment,
     AssessmentConfig,
     ThreadObservation,
     assess_object,
     serial_average,
 )
 from repro.config import ConfigBase
-from repro.core.detection import DetectorConfig, FalseSharingDetector, SharingKind
+from repro.core.detection import (DetectorConfig, FalseSharingDetector,
+                                  ObjectProfile, SharingKind)
 from repro.core.report import ObjectReport, render_report
 from repro.core.streaming import StreamingConfig, StreamingDetector
 from repro.errors import ConfigError, ProfilerError
@@ -97,6 +98,45 @@ class CheetahReport:
         return self.significant[0] if self.significant else None
 
 
+def build_report(objects: Iterable[ObjectProfile],
+                 observations: Dict[int, ThreadObservation], phases,
+                 aver_nofs: float, config: CheetahConfig, *,
+                 sampling_period: Optional[float], runtime: int,
+                 serial_samples: int, total_samples: int) -> CheetahReport:
+    """Cheetah's report policy (Section 3), for the profiler and predict.
+
+    Objects with ``min_invalidations`` and some sharing are assessed (EQ
+    1-4); false sharing reaching ``min_improvement`` is significant, true
+    sharing is listed only with ``report_true_sharing``, and both lists
+    run from the largest improvement."""
+    detector = config.detector
+    instances: List[ObjectReport] = []
+    for profile in objects:
+        if profile.invalidations < detector.min_invalidations:
+            continue
+        kind = profile.classify(detector.true_sharing_fraction)
+        if kind is SharingKind.NO_SHARING:
+            continue
+        assessment = assess_object(profile, observations, phases, aver_nofs,
+                                   config.assessment,
+                                   sampling_period=sampling_period)
+        instances.append(ObjectReport(profile=profile, assessment=assessment,
+                                      kind=kind))
+    instances.sort(key=lambda r: r.assessment.improvement, reverse=True)
+    false_sharing = [r for r in instances if r.is_false_sharing]
+    return CheetahReport(
+        significant=[r for r in false_sharing
+                     if r.assessment.improvement >= config.min_improvement],
+        all_instances=(instances if config.report_true_sharing
+                       else false_sharing),
+        runtime=runtime,
+        fork_join_ok=phases.fork_join_ok,
+        aver_nofs_cycles=aver_nofs,
+        serial_samples=serial_samples,
+        total_samples=total_samples,
+    )
+
+
 class CheetahProfiler:
     """Wires the PMU into detection and assessment.
 
@@ -116,7 +156,6 @@ class CheetahProfiler:
         # retained (bounded) so the estimator can be robust; see
         # AssessmentConfig.serial_estimator.
         self._serial_latencies: List[int] = []
-        self._serial_cycles = 0
         self._total_samples = 0
         self._filtered_samples = 0
 
@@ -167,7 +206,6 @@ class CheetahProfiler:
         if not in_parallel:
             if len(self._serial_latencies) < self._SERIAL_CAP:
                 self._serial_latencies.append(sample.latency)
-            self._serial_cycles += sample.latency
         tid = sample.tid
         self._thread_accesses[tid] = self._thread_accesses.get(tid, 0) + 1
         self._thread_cycles[tid] = (
@@ -229,47 +267,16 @@ class CheetahProfiler:
                 barrier_waits=getattr(thread, "barrier_waits", 0),
                 profiler_overhead=overhead,
             )
-        aver_nofs = serial_average(self._serial_latencies,
-                                   self.config.assessment)
         sampling_period = None
         if engine.pmu is not None:
             sampling_period = self._effective_period(engine.pmu, threads)
-
-        profiles = self.detector.build_objects(engine.allocator,
-                                               engine.symbols)
-        all_instances: List[ObjectReport] = []
-        for profile in profiles:
-            kind = profile.classify(self.config.detector.true_sharing_fraction)
-            if kind is SharingKind.NO_SHARING:
-                continue
-            assessment = assess_object(profile, observations, phases,
-                                       aver_nofs, self.config.assessment,
-                                       sampling_period=sampling_period)
-            all_instances.append(ObjectReport(profile=profile,
-                                              assessment=assessment,
-                                              kind=kind))
-
-        significant = [
-            r for r in all_instances
-            if r.is_false_sharing
-            and r.assessment.improvement >= self.config.min_improvement
-        ]
-        significant.sort(key=lambda r: r.assessment.improvement, reverse=True)
-        if not self.config.report_true_sharing:
-            visible = [r for r in all_instances if r.is_false_sharing]
-        else:
-            visible = list(all_instances)
-        visible.sort(key=lambda r: r.assessment.improvement, reverse=True)
-
-        return CheetahReport(
-            significant=significant,
-            all_instances=visible,
-            runtime=runtime,
-            fork_join_ok=phases.fork_join_ok,
-            aver_nofs_cycles=aver_nofs,
+        return build_report(
+            self.detector.build_objects(engine.allocator, engine.symbols),
+            observations, phases,
+            serial_average(self._serial_latencies, self.config.assessment),
+            self.config, sampling_period=sampling_period, runtime=runtime,
             serial_samples=len(self._serial_latencies),
-            total_samples=self._total_samples,
-        )
+            total_samples=self._total_samples)
 
     @staticmethod
     def _effective_period(pmu, threads) -> float:

@@ -24,7 +24,6 @@ from repro.predict.profile import (
     AccessProfile,
     LineProfile,
     ProfileCollector,
-    ThreadProfile,
     extract_profile,
     profile_from_trace,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "LineProfile",
     "PredictConfig",
     "ProfileCollector",
-    "ThreadProfile",
     "burst_seed",
     "extract_profile",
     "predict_from_profiles",

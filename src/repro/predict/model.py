@@ -32,9 +32,10 @@ additionally pays ``spawn_cost + join_cost`` per extra thread.
 **Findings.** The prefix detector sees *every* access (period 1) while a
 real profiled run samples one in ``PMUConfig.period``; predicted object
 counts are therefore scaled into the PMU-sampled domain
-(``x volume_factor / period``) before the standard thresholds,
-classification and assessment (:mod:`repro.core`) are applied — the same
-code path the online profiler uses, fed predicted numbers.
+(``x volume_factor / period``) and handed to
+:func:`repro.core.profiler.build_report` — the report policy the online
+profiler applies (thresholds, classification, assessment), fed predicted
+numbers.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import ConfigBase
-from repro.core.assessment import ThreadObservation, assess_object, serial_average
-from repro.core.detection import ObjectProfile, SharingKind
-from repro.core.profiler import CheetahConfig, CheetahReport
-from repro.core.report import ObjectReport
+from repro.core.assessment import ThreadObservation, serial_average
+from repro.core.detection import ObjectProfile
+from repro.core.profiler import CheetahConfig, build_report
 from repro.errors import ConfigError
 from repro.pmu.sampler import PMUConfig
 from repro.predict.profile import AccessProfile, extract_profile
@@ -157,7 +157,7 @@ class _SyntheticPhases:
         self.fork_join_ok = fork_join_ok
 
 
-def _scaled_phases(source, factor: float, fork_join_ok: bool) -> _SyntheticPhases:
+def _scaled_phases(source, factor: float) -> _SyntheticPhases:
     phases = []
     for phase in source.phases:
         if phase.end is None:
@@ -166,7 +166,7 @@ def _scaled_phases(source, factor: float, fork_join_ok: bool) -> _SyntheticPhase
                             start=int(phase.start * factor),
                             end=int(phase.end * factor),
                             threads=set(phase.threads)))
-    return _SyntheticPhases(phases, fork_join_ok)
+    return _SyntheticPhases(phases, source.fork_join_ok)
 
 
 def _int(value: float) -> int:
@@ -192,8 +192,8 @@ def predict_from_profiles(primary: AccessProfile,
     """
     config = machine_config or MachineConfig()
     cheetah = cheetah_config or CheetahConfig()
-    period = float((pmu_config or PMUConfig()).period)
     pmu = pmu_config or PMUConfig()
+    period = float(pmu.period)
 
     fit = _Fit(x1=(secondary.scale if secondary is not None else primary.scale),
                x2=(primary.scale if secondary is not None else None))
@@ -274,7 +274,6 @@ def predict_from_profiles(primary: AccessProfile,
     report = None
     predicted_pmu: Optional[Dict[str, float]] = None
     if with_cheetah and primary.detector is not None:
-        sample_factor = volume_factor / period if period else 0.0
         runtime_factor = (app_runtime / primary.runtime
                           if primary.runtime else 1.0)
 
@@ -289,18 +288,15 @@ def predict_from_profiles(primary: AccessProfile,
                 profiler_overhead=_int(overhead.get(tid, 0.0)),
             )
 
-        fork_join_ok = (primary.phases.fork_join_ok
-                        if primary.phases is not None else True)
         if primary.phases is not None:
-            phases = _scaled_phases(primary.phases, runtime_factor,
-                                    fork_join_ok)
+            phases = _scaled_phases(primary.phases, runtime_factor)
         else:
             # Trace-sourced profile: no phase timeline — model the run
             # as a single parallel phase over the worker threads.
             workers = set(primary.worker_tids())
             phases = _SyntheticPhases(
                 [Phase(kind="parallel", start=0, end=_int(app_runtime),
-                       threads=workers)], fork_join_ok)
+                       threads=workers)], fork_join_ok=True)
 
         primary_objects = primary.detector.build_objects(
             primary.allocator, primary.symbols)
@@ -310,8 +306,7 @@ def predict_from_profiles(primary: AccessProfile,
                 o.key: o for o in secondary.detector.build_objects(
                     secondary.allocator, secondary.symbols)}
 
-        all_instances: List[ObjectReport] = []
-        min_inv = cheetah.detector.min_invalidations
+        scaled: List[ObjectProfile] = []
         for obj in primary_objects:
             twin = secondary_objects.get(obj.key)
 
@@ -321,31 +316,8 @@ def predict_from_profiles(primary: AccessProfile,
                     return fit(getattr(twin, name), y2, target_scale)
                 return fit(y2, None, target_scale)
 
-            scaled = _scale_object(obj, counts, thread_factor,
-                                   sample_period=period)
-            if scaled.invalidations < min_inv:
-                continue
-            kind = scaled.classify(cheetah.detector.true_sharing_fraction)
-            if kind is SharingKind.NO_SHARING:
-                continue
-            assessment = assess_object(scaled, observations, phases,
-                                       aver_nofs, cheetah.assessment,
-                                       sampling_period=period)
-            all_instances.append(ObjectReport(profile=scaled,
-                                              assessment=assessment,
-                                              kind=kind))
-
-        significant = [
-            r for r in all_instances
-            if r.is_false_sharing
-            and r.assessment.improvement >= cheetah.min_improvement
-        ]
-        significant.sort(key=lambda r: r.assessment.improvement, reverse=True)
-        if not cheetah.report_true_sharing:
-            visible = [r for r in all_instances if r.is_false_sharing]
-        else:
-            visible = list(all_instances)
-        visible.sort(key=lambda r: r.assessment.improvement, reverse=True)
+            scaled.append(_scale_object(obj, counts, thread_factor,
+                                        sample_period=period))
 
         pred_instr = sum(p["instructions"] for p in pred_threads.values())
         pred_acc = sum(p["mem_accesses"] for p in pred_threads.values())
@@ -356,15 +328,11 @@ def predict_from_profiles(primary: AccessProfile,
             "samples_fired": _int(samples_fired),
             "memory_samples": _int(memory_samples),
         }
-        report = CheetahReport(
-            significant=significant,
-            all_instances=visible,
-            runtime=_int(app_runtime),
-            fork_join_ok=fork_join_ok,
-            aver_nofs_cycles=aver_nofs,
+        report = build_report(
+            scaled, observations, phases, aver_nofs, cheetah,
+            sampling_period=period, runtime=_int(app_runtime),
             serial_samples=len(primary.serial_latencies),
-            total_samples=_int(memory_samples),
-        )
+            total_samples=_int(memory_samples))
 
     # -- assemble the RunSummary -------------------------------------------
     threads: Dict[int, ThreadSummary] = {}

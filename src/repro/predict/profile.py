@@ -36,6 +36,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.core.cacheline import TwoEntryTable
 from repro.core.detection import DetectorConfig, FalseSharingDetector
 from repro.pmu.sample import MemorySample
+from repro.run import ThreadSummary, run_workload
 from repro.runtime.phases import MAIN_TID
 from repro.sim.engine import Observer
 from repro.sim.params import MachineConfig
@@ -112,21 +113,6 @@ class LineProfile:
 
 
 @dataclass
-class ThreadProfile:
-    """Per-thread totals over the profiled execution."""
-
-    tid: int
-    name: str
-    core: int
-    instructions: int
-    mem_accesses: int
-    mem_cycles: int
-    runtime: int
-    barrier_waits: int
-    start_clock: int
-
-
-@dataclass
 class AccessProfile:
     """The complete extracted profile; input to the analytical model.
 
@@ -146,7 +132,7 @@ class AccessProfile:
     steps: int = 0
     invalidations: int = 0  # total (ground truth or table estimate)
     lines: Dict[int, LineProfile] = field(default_factory=dict)
-    thread_stats: Dict[int, ThreadProfile] = field(default_factory=dict)
+    thread_stats: Dict[int, ThreadSummary] = field(default_factory=dict)
     reuse_histogram: Dict[int, int] = field(default_factory=dict)
     serial_latencies: List[int] = field(default_factory=list)
     truncated: bool = False
@@ -258,8 +244,6 @@ def extract_profile(workload: Workload, *,
     the simulation step of prediction). Per-line invalidation counts are
     ground truth, read off the coherence directory after the run.
     """
-    from repro.run import run_workload  # local: repro.run routes to us
-
     config = machine_config or MachineConfig()
     if config.mode != "simulate":
         config = config.replace(mode="simulate")
@@ -290,15 +274,7 @@ def extract_profile(workload: Workload, *,
     for line, line_profile in profile.lines.items():
         line_profile.invalidations = directory.invalidations_of(line)
     for tid, thread in result.threads.items():
-        profile.thread_stats[tid] = ThreadProfile(
-            tid=tid, name=thread.name, core=thread.core,
-            instructions=thread.instructions,
-            mem_accesses=thread.mem_accesses,
-            mem_cycles=thread.mem_cycles,
-            runtime=thread.runtime,
-            barrier_waits=thread.barrier_waits,
-            start_clock=thread.start_clock,
-        )
+        profile.thread_stats[tid] = ThreadSummary.from_thread(thread)
     return profile
 
 
@@ -353,15 +329,15 @@ def profile_from_trace(records: Iterable[TraceRecord], *,
                        + (max(worker_cycles) if worker_cycles else 0))
     profile.steps = sum(tid_acc.values())
     for tid in sorted(tid_acc):
-        profile.thread_stats[tid] = ThreadProfile(
+        profile.thread_stats[tid] = ThreadSummary(
             tid=tid,
             name="main" if tid == MAIN_TID else f"t{tid}",
             core=tid_core.get(tid, 0),
+            start_clock=0,
+            end_clock=tid_cyc[tid],
             instructions=tid_acc[tid],
             mem_accesses=tid_acc[tid],
             mem_cycles=tid_cyc[tid],
-            runtime=tid_cyc[tid],
             barrier_waits=0,
-            start_clock=0,
         )
     return profile

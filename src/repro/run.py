@@ -138,8 +138,8 @@ class RunOutcome:
     #: True for outcomes that carry a :class:`RunSummary` like cached
     #: outcomes do, but were computed for this call, not served from a
     #: cache: fresh predictions of the analytical modes
-    #: (``mode="predict"``/``"sampled"``) and runs that worker
-    #: processes simulated for the serve daemon or
+    #: (``mode="predict"``/``"sampled"``), fresh trace replays and runs
+    #: that worker processes simulated for the serve daemon or
     #: ``RunService.run_many``. Not serialized; a rehydrated payload
     #: reads as cached (a prediction's ``predicted`` metadata survives).
     fresh: bool = False
@@ -388,26 +388,13 @@ def run_workload(workload: Workload, *,
     if pmu is not None:
         # Recorded in the metadata so it survives serialization: the
         # findings sink reads it off cached and relayed outcomes too.
-        result.metadata["pmu_overhead_cycles"] = _pmu_overhead_cycles(pmu)
+        result.metadata["pmu_overhead_cycles"] = sum(
+            pmu.overhead_by_tid.values())
     report = profiler.finalize(result) if profiler else None
     if observability is not None:
         observability.finalize(result, pmu=pmu, profiler=profiler)
     return RunOutcome(result=result, report=report, obs=observability,
                       pmu=pmu, profiler=profiler)
-
-
-def _pmu_overhead_cycles(pmu: PMU) -> int:
-    """Total PMU-charged cycles of a profiled run.
-
-    Mirrors the ``pmu_overhead_cycles_total`` decomposition the
-    observability layer exports: per-thread setup + sample handlers +
-    traps on non-memory instructions.
-    """
-    traps = pmu.samples_fired - pmu.memory_samples
-    config = pmu.config
-    return (pmu.threads_set_up * config.thread_setup_cost
-            + pmu.memory_samples * config.handler_cost
-            + traps * config.trap_cost)
 
 
 def _run_analytical(workload, config, jitter_seed, pmu_config,

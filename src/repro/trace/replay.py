@@ -214,4 +214,4 @@ def replay_outcome(records: Iterable[TraceRecord],
         threads=threads,
         metadata=metadata,
     )
-    return RunOutcome(result=result)
+    return RunOutcome(result=result, fresh=True)

@@ -211,6 +211,18 @@ class TestCompare:
         assert out == "" and err.count("\n") == 1
         assert err.startswith("repro compare: --fixed is not supported: ")
 
+    def test_baselines_use_the_runs_line_size(self, capsys):
+        # streamcluster pads for 32-byte lines: at that size a detector
+        # that assumes 64-byte lines reports sharing that is not there.
+        import json as json_mod
+        assert main(["compare", "streamcluster", "--line-size", "32",
+                     "--threads", "8", "--scale", "0.3", "--no-cache",
+                     "--json"]) == 0
+        rows = {row["tool"]: row["detects_false_sharing"]
+                for row in json_mod.loads(capsys.readouterr().out)}
+        assert rows["Sheriff"] is False
+        assert rows["Predator"] is False
+
 
 class TestCheckFlag:
     """``--check`` reaches every machine a workload command builds."""
@@ -274,12 +286,43 @@ class TestValidate:
         assert "corrupted write predicate caught" in out
         assert "all checks passed" in out
 
+    def test_validate_json_stdout_is_one_object(self, capsys):
+        import json as json_mod
+        assert main(["validate", "--smoke", "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert json_mod.loads(out) == {"command": "validate", "ok": True}
+        assert "invariant suite" in err
+
     def test_validate_single_seed_triage(self, capsys):
         # The triage loop from the docs: replay exactly one fuzz program.
         assert main(["validate", "--smoke", "--seed", "49374",
                      "--iterations", "1"]) == 0
         out = capsys.readouterr().out
         assert "seeds 49374..49374" in out
+
+
+class TestPredictRefusals:
+    """Each 'repro predict' flag is read on one side of --validate only;
+    given on the other side it is refused, not dropped."""
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--threads", "3"], "--threads"),
+        (["histogram", "--mode", "sampled", "--check", "--json"],
+         "a workload name, --mode, --check"),
+    ])
+    def test_validate_refuses_run_flags(self, flags, named, capsys):
+        assert main(["predict", "--validate", "--smoke", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"repro predict: {named}: ")
+
+    @pytest.mark.parametrize("flags", [["--smoke"],
+                                       ["--workloads", "synthetic"]])
+    def test_prediction_refuses_validate_flags(self, flags, capsys):
+        assert main(["predict", "histogram", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"repro predict: {flags[0]}: ")
 
 
 class TestWorkloadsCommand:

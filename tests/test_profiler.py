@@ -144,3 +144,50 @@ class TestEndToEnd:
         report = profiler.finalize(result)
         assert report.serial_samples > 10
         assert report.aver_nofs_cycles > 0
+
+
+def predict_report(**cheetah):
+    """producer_consumer_ring's predict-mode report at 8 threads."""
+    from repro.run import run_workload
+    from repro.workloads import get_workload
+    workload = get_workload("producer_consumer_ring")(num_threads=8)
+    return run_workload(workload, machine_config=MachineConfig(mode="predict"),
+                        with_cheetah=True,
+                        cheetah_config=CheetahConfig(**cheetah)).report
+
+
+class TestOneReportBuilder:
+    """The profiler and predict mode share one report policy."""
+
+    def test_only_the_builder_assesses(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+        root = Path(repro.__file__).parent
+        callers = set()
+        for path in root.rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                func = node.func if isinstance(node, ast.Call) else None
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else getattr(func, "id", None))
+                if name == "assess_object":
+                    callers.add(path.relative_to(root).as_posix())
+        assert callers == {"core/profiler.py"}
+
+    def test_predict_min_improvement_filters(self):
+        report = predict_report(min_improvement=1e9)
+        assert report.significant == []
+        assert report.false_sharing_instances()  # still visible
+
+    def test_predict_true_sharing_not_in_significant(self):
+        shown = predict_report(report_true_sharing=True)
+        hidden = predict_report()
+        kinds = [r.kind.value for r in shown.all_instances]
+        assert "true sharing" in kinds
+        assert all(r.is_false_sharing for r in hidden.all_instances)
+        assert hidden.all_instances == shown.false_sharing_instances()
+        for report in (shown, hidden):
+            assert report.significant
+            assert all(r.is_false_sharing for r in report.significant)

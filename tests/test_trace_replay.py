@@ -125,6 +125,10 @@ class TestReplayOutcome:
         with pytest.raises(ConfigError):
             replay_outcome([], period=0)
 
+    def test_fresh_replay_is_not_cached(self):
+        recorder, meta = record("producer_consumer_ring", scale=0.2)
+        assert replay_outcome(recorder.records, meta).from_cache is False
+
     def test_outcome_survives_store_round_trip(self, tmp_path):
         from repro.run import RunOutcome
         from repro.service import ResultStore
