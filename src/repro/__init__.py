@@ -26,6 +26,8 @@ Public API (v2)
 
 ``__all__`` below is the frozen v2 surface (``repro.__api_version__``),
 pinned by ``tests/test_public_api.py`` and documented in ``docs/api.md``.
+Each name is bound on first use from its defining module (``_SOURCES``),
+so ``import repro.run`` costs no more than that module's own imports.
 v2 is a strict superset of v1 — nothing was removed. New in v2: the
 unified :class:`~repro.request.RunRequest` front door (one object
 collapsing the kernel/mode/detector selection knobs every layer used to
@@ -52,40 +54,7 @@ replacement for each.
 
 from __future__ import annotations
 
-from repro.api import Session
-from repro.core.detection import DetectorConfig
-from repro.core.profiler import CheetahConfig, CheetahReport
-from repro.core.streaming import (
-    StreamingConfig,
-    StreamingDetector,
-    StreamingFinding,
-)
-from repro.errors import ReproError
-from repro.obs import ObsConfig
-from repro.pmu.sampler import PMUConfig
-from repro.predict import predict_outcome, sampled_outcome
-from repro.request import RunRequest
-from repro.run import DEFAULT_SEEDS, RunOutcome, RunSummary, run_workload
-from repro.service import (
-    JobFailure,
-    ResultStore,
-    RunService,
-    RunSpec,
-    Scheduler,
-    cached_run,
-    default_cache_dir,
-    using_service,
-)
-from repro.service.daemon import ServeConfig
-from repro.service.sink import FindingsSink
-from repro.sim.params import LatencyModel, MachineConfig
-from repro.workloads import (
-    GroundTruth,
-    Verdict,
-    Workload,
-    get_workload,
-    iter_workloads,
-)
+from importlib import import_module
 
 __version__ = "2.1.0"
 
@@ -95,42 +64,55 @@ __version__ = "2.1.0"
 #: separately by ``tests/test_public_api.py``.
 __api_version__ = 2
 
-__all__ = [
-    "CheetahConfig",
-    "CheetahReport",
-    "DEFAULT_SEEDS",
-    "DetectorConfig",
-    "FindingsSink",
-    "GroundTruth",
-    "JobFailure",
-    "LatencyModel",
-    "MachineConfig",
-    "ObsConfig",
-    "PMUConfig",
-    "ReproError",
-    "ResultStore",
-    "RunOutcome",
-    "RunRequest",
-    "RunService",
-    "RunSpec",
-    "RunSummary",
-    "Scheduler",
-    "ServeConfig",
-    "Session",
-    "StreamingConfig",
-    "StreamingDetector",
-    "StreamingFinding",
-    "Verdict",
-    "Workload",
-    "cached_run",
-    "default_cache_dir",
-    "get_workload",
-    "iter_workloads",
-    "predict_outcome",
-    "run_workload",
-    "sampled_outcome",
-    "using_service",
-    "__api_version__",
-    "__version__",
-]
+#: Each public name and the module that defines it; ``__getattr__``
+#: imports that module the first time the name is read.
+_SOURCES = {
+    "CheetahConfig": "repro.core.profiler",
+    "CheetahReport": "repro.core.profiler",
+    "DEFAULT_SEEDS": "repro.run",
+    "DetectorConfig": "repro.core.detection",
+    "FindingsSink": "repro.service.sink",
+    "GroundTruth": "repro.workloads",
+    "JobFailure": "repro.service",
+    "LatencyModel": "repro.sim.params",
+    "MachineConfig": "repro.sim.params",
+    "ObsConfig": "repro.obs",
+    "PMUConfig": "repro.pmu.sampler",
+    "ReproError": "repro.errors",
+    "ResultStore": "repro.service",
+    "RunOutcome": "repro.run",
+    "RunRequest": "repro.request",
+    "RunService": "repro.service",
+    "RunSpec": "repro.service",
+    "RunSummary": "repro.run",
+    "Scheduler": "repro.service",
+    "ServeConfig": "repro.service.daemon",
+    "Session": "repro.api",
+    "StreamingConfig": "repro.core.streaming",
+    "StreamingDetector": "repro.core.streaming",
+    "StreamingFinding": "repro.core.streaming",
+    "Verdict": "repro.workloads",
+    "Workload": "repro.workloads",
+    "cached_run": "repro.service",
+    "default_cache_dir": "repro.service",
+    "get_workload": "repro.workloads",
+    "iter_workloads": "repro.workloads",
+    "predict_outcome": "repro.predict",
+    "run_workload": "repro.run",
+    "sampled_outcome": "repro.predict",
+    "using_service": "repro.service",
+}
 
+__all__ = [*_SOURCES, "__api_version__", "__version__"]
+
+
+def __getattr__(name: str):
+    """Bind public ``name`` on first use (PEP 562); nothing else resolves."""
+    if name not in _SOURCES:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_SOURCES[name]), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()).union(__all__))

@@ -30,14 +30,19 @@ from repro.sim.ops import (
 )
 from repro.sim.params import LatencyModel, MachineConfig
 
-# Engine/RunResult are exposed lazily: the engine module imports the
-# threading runtime, which itself imports repro.sim.ops, so an eager
-# import here would be circular.
+# Engine/RunResult are bound on first use (PEP 562): the engine module
+# imports the threading runtime, which itself imports repro.sim.ops, so
+# an eager import here would be circular.
 def __getattr__(name):
-    if name in ("Engine", "RunResult"):
-        from repro.sim import engine
-        return getattr(engine, name)
-    raise AttributeError(f"module 'repro.sim' has no attribute {name!r}")
+    if name not in ("Engine", "RunResult"):
+        raise AttributeError(f"module 'repro.sim' has no attribute {name!r}")
+    from repro.sim import engine
+    value = globals()[name] = getattr(engine, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()).union(__all__))
 
 
 __all__ = [

@@ -11,6 +11,11 @@ compatibility promise that nothing a v1 caller imported ever goes away
 within the v2 line.
 """
 
+import importlib
+import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -111,8 +116,83 @@ class TestRetiredNames:
                 with pytest.raises(AttributeError):
                     getattr(module, name)
                 assert name not in dir(module), (module.__name__, name)
-        for module in (repro, runner):
-            assert "__getattr__" not in vars(module)
+        assert "__getattr__" not in vars(runner)
+        # The root binds its names on first use (PEP 562). That loader is
+        # confined to ``__all__``: it is no fallback for retired names.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            for name in DEPRECATED_NAMES + ("definitely_not_an_api",):
+                with pytest.raises(AttributeError):
+                    repro.__getattr__(name)
+            candidates = (set(repro.__all__) | set(DEPRECATED_NAMES)
+                          | set(vars(repro)))
+            resolved = set()
+            for name in candidates:
+                try:
+                    repro.__getattr__(name)
+                except AttributeError:
+                    continue
+                resolved.add(name)
+        assert resolved == (set(repro.__all__)
+                            - {"__version__", "__api_version__"})
+
+
+def fresh_interpreter(code):
+    """Run ``code`` in a new interpreter that imports this ``repro``
+    and return what it printed, parsed as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(repro.__file__)),
+         env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    return json.loads(proc.stdout)
+
+
+class TestFirstUseBinding:
+    """Package namespaces bind their lazy names on first use and list
+    them in ``dir()`` before that."""
+
+    #: What ``import repro.run`` must not load: none of it runs a cell.
+    NOT_ON_THE_RUN_PATH = (
+        "repro.api", "repro.service", "repro.service.daemon",
+        "repro.predict", "repro.trace", "repro.request", "http.server",
+    )
+
+    def test_run_import_leaves_service_and_predict_unloaded(self):
+        loaded = fresh_interpreter(
+            "import json, sys\n"
+            "import repro.run\n"
+            f"names = {self.NOT_ON_THE_RUN_PATH!r}\n"
+            "print(json.dumps([m for m in names if m in sys.modules]))")
+        assert loaded == []
+
+    def test_fresh_dir_lists_surface(self):
+        """``dir(repro)`` lists every ``__all__`` name before any name
+        is read (in-suite, earlier tests have resolved them all)."""
+        missing = fresh_interpreter(
+            "import json, repro\n"
+            "print(json.dumps(sorted(set(repro.__all__)"
+            " - set(dir(repro)))))")
+        assert missing == []
+
+    def test_names_are_their_modules_objects_bound_here(self):
+        for name in set(repro.__all__) - {"__version__", "__api_version__"}:
+            value = getattr(repro, name)
+            module = importlib.import_module(repro._SOURCES[name])
+            assert value is getattr(module, name), name
+            assert vars(repro)[name] is value, name
+
+    def test_sim_dir_lists_its_surface(self):
+        import repro.sim
+        import repro.sim.engine as engine
+        assert set(repro.sim.__all__) <= set(dir(repro.sim))
+        assert repro.sim.Engine is engine.Engine
+        assert repro.sim.RunResult is engine.RunResult
+        assert vars(repro.sim)["Engine"] is engine.Engine
+        with pytest.raises(AttributeError, match="no attribute"):
+            repro.sim.definitely_not_an_api
 
 
 class TestV2Names:

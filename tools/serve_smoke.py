@@ -8,7 +8,9 @@ over HTTP, polls it to completion,
 asserts at least one NDJSON finding event and a non-empty ``/metrics``
 exposition, then delivers SIGINT and checks the daemon drains and exits
 0, leaving none of its child processes (the worker process that ran the
-job among them) alive.
+job among them) alive. The daemon runs under ``-X faulthandler``: if it
+has not exited ``TIMEOUT`` seconds after SIGINT, it gets SIGABRT and the
+smoke prints every thread's stack before it fails.
 
 Usage: PYTHONPATH=src python tools/serve_smoke.py
 """
@@ -46,6 +48,16 @@ BAD_LENGTHS = [("-1", 400), ("1000000000000", 413)]
 def fail(message):
     print(f"serve_smoke: FAIL: {message}", file=sys.stderr)
     sys.exit(1)
+
+
+def fail_with_thread_dump(proc):
+    """SIGABRT the daemon, whose faulthandler then writes every thread's
+    stack to stderr (unread since the banner); print that and fail."""
+    proc.send_signal(signal.SIGABRT)
+    _, err = proc.communicate(timeout=TIMEOUT)
+    sys.stderr.write(err.decode(errors="replace"))
+    fail(f"daemon still running {TIMEOUT:.0f} s after SIGINT "
+         "(its threads' stacks are above)")
 
 
 def wait_for_listening(proc):
@@ -151,7 +163,8 @@ def main():
     env = dict(os.environ)
     env.setdefault("PYTHONPATH", "src")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
+        [sys.executable, "-X", "faulthandler", "-m", "repro", "serve",
+         "--port", "0",
          "--cache-dir", os.path.join(tmp, "cache"),
          "--sink-dir", os.path.join(tmp, "sink")],
         stderr=subprocess.PIPE, env=env)
@@ -221,7 +234,10 @@ def main():
         print(f"serve_smoke: daemon children {children}")
 
         proc.send_signal(signal.SIGINT)
-        rc = proc.wait(timeout=TIMEOUT)
+        try:
+            rc = proc.wait(timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            fail_with_thread_dump(proc)
         if rc != 0:
             fail(f"daemon exited {rc} after SIGINT")
         # multiprocessing's resource tracker exits once the daemon's end
