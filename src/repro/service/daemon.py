@@ -42,12 +42,20 @@ Tenancy never enters the outcome payload: ``RunOutcome.tenant`` stays
 the same spec and cache entries carry no tenant identity; the tenant is
 recorded on the job and in the sink rows instead.
 
+The job table is bounded. A finished job keeps only what its replies
+need, with its outcome as zlib-compressed JSON, and stays for at most
+:data:`JOB_TTL` seconds and among the last :data:`JOBS_KEPT` finished
+jobs; ``GET`` on an evicted id answers 410, on an id never issued 404.
+The outcome itself stays in the result store under the job's ``key``,
+which the 202 reply to ``POST /v1/jobs`` names.
+
 Graceful shutdown (:meth:`Daemon.shutdown`, or SIGINT under ``repro
-serve``) stops accepting connections, drains in-flight jobs up to
-``drain_timeout`` seconds, stops every worker process, and flushes the
-sink. Worker processes ignore SIGINT, so Ctrl-C drains through here.
-The HTTP loop looks for a shutdown request every :data:`POLL_INTERVAL`
-seconds, so an idle daemon stops within that.
+serve``) stops accepting connections and submissions (503), drains
+in-flight jobs up to ``drain_timeout`` seconds, stops every worker
+process, and flushes the sink. Worker processes ignore SIGINT, so
+Ctrl-C drains through here. The HTTP loop looks for a shutdown request
+every :data:`POLL_INTERVAL` seconds, so an idle daemon stops within
+that.
 """
 
 from __future__ import annotations
@@ -57,9 +65,11 @@ import queue
 import threading
 import time
 import traceback
+import zlib
+from collections import deque
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.config import ConfigBase
@@ -93,6 +103,13 @@ REQUEST_TIMEOUT = 10.0
 #: Seconds the HTTP loop waits between checks for a shutdown request;
 #: :meth:`Daemon.shutdown` waits up to this long for the loop to stop.
 POLL_INTERVAL = 0.05
+
+#: Finished jobs the job table keeps; beyond that the oldest finished
+#: job is evicted (queued and running jobs are never evicted).
+JOBS_KEPT = 1024
+
+#: Seconds a finished job stays in the job table.
+JOB_TTL = 600.0
 
 
 @dataclass(frozen=True)
@@ -163,25 +180,43 @@ class ServeConfig(ConfigBase):
 
 
 class Job:
-    """One submitted run: spec + tenant + lifecycle + live events.
+    """One submitted job: what its replies need, and no more.
 
-    ``events`` accumulates streaming-finding dicts under ``cond``;
-    ``events_done`` flips when no further events can arrive, which is
-    what lets ``/events`` readers finish instead of hanging.
+    A job holds its id, store ``key``, tenant, workload name, lifecycle
+    and events, but not its :class:`~repro.service.spec.RunSpec` (the
+    queue carries that to the worker). ``events`` accumulates
+    streaming-finding dicts under ``cond``; ``events_done`` flips when
+    no further events can arrive, which is what lets ``/events``
+    readers finish instead of hanging. A finished job holds its outcome
+    as zlib-compressed JSON text (:meth:`pack`), built once as the job
+    finishes: :meth:`to_json` splices that text into the reply as it
+    is, and :attr:`outcome` rehydrates a
+    :class:`~repro.run.RunOutcome` from it on each read.
     """
 
-    def __init__(self, job_id: str, spec: RunSpec, tenant: str):
+    __slots__ = ("id", "key", "tenant", "workload", "status", "error",
+                 "cached", "cond", "events", "events_done", "_outcome")
+
+    def __init__(self, job_id: str, key: str, tenant: str, workload: str):
         self.id = job_id
-        self.spec = spec
-        self.key = spec.key()
+        self.key = key
         self.tenant = tenant
+        self.workload = workload
         self.status = "queued"  # queued | running | done | failed
         self.error: Optional[str] = None
-        self.outcome: Optional[Any] = None
         self.cached: Optional[bool] = None
         self.cond = threading.Condition()
         self.events: List[Dict[str, Any]] = []
         self.events_done = False
+        self._outcome: Optional[bytes] = None
+
+    @property
+    def outcome(self) -> Optional[RunOutcome]:
+        """The outcome of a job that ended ``done`` (else None),
+        rehydrated from its compressed JSON."""
+        if self._outcome is None:
+            return None
+        return RunOutcome.from_dict(json.loads(zlib.decompress(self._outcome)))
 
     def to_dict(self, include_outcome: bool = True) -> Dict[str, Any]:
         body: Dict[str, Any] = {
@@ -189,32 +224,58 @@ class Job:
             "status": self.status,
             "key": self.key,
             "tenant": self.tenant,
-            "workload": self.spec.workload,
+            "workload": self.workload,
             "events": len(self.events),
         }
         if self.cached is not None:
             body["cached"] = self.cached
         if self.error is not None:
             body["error"] = self.error
-        if include_outcome and self.outcome is not None:
-            body["outcome"] = self.outcome.to_dict()
+        if include_outcome and self._outcome is not None:
+            body["outcome"] = json.loads(zlib.decompress(self._outcome))
         return body
+
+    def to_json(self) -> str:
+        """The ``GET /v1/jobs/{id}`` reply: :meth:`to_dict` as JSON with
+        sorted keys, with the kept outcome text spliced in as it is.
+        Parsing it back would turn integer keys into strings, which sort
+        in another order, so the reply would no longer be byte for byte
+        the JSON of the outcome's own ``to_dict()``."""
+        body = self.to_dict(include_outcome=False)
+        if self._outcome is None:
+            return json.dumps(body, sort_keys=True)
+        # Every body has keys on both sides of "outcome" (id, status).
+        head = json.dumps({k: v for k, v in body.items() if k < "outcome"},
+                          sort_keys=True)
+        tail = json.dumps({k: v for k, v in body.items() if k > "outcome"},
+                          sort_keys=True)
+        outcome = zlib.decompress(self._outcome).decode()
+        return f'{head[:-1]}, "outcome": {outcome}, {tail[1:]}'
 
     def add_event(self, event: Dict[str, Any]) -> None:
         with self.cond:
             self.events.append(event)
             self.cond.notify_all()
 
-    def finish(self, status: str, outcome: Any = None,
+    def finish(self, status: str, packed: Optional[bytes] = None,
                error: Optional[str] = None,
                cached: Optional[bool] = None) -> None:
+        """End the job; ``packed`` is its outcome as :meth:`pack`
+        returned it."""
         with self.cond:
             self.status = status
-            self.outcome = outcome
+            self._outcome = packed
             self.error = error
             self.cached = cached
             self.events_done = True
             self.cond.notify_all()
+
+    @staticmethod
+    def pack(outcome: RunOutcome) -> bytes:
+        """``outcome`` as a finished job keeps it: its JSON with sorted
+        keys, as a reply embeds it, zlib-compressed at level 1."""
+        text = json.dumps(outcome.to_dict(), sort_keys=True)
+        return zlib.compress(text.encode(), 1)
 
 
 class Daemon:
@@ -225,6 +286,12 @@ class Daemon:
     the workers and the HTTP loop. ``service`` is injectable for tests;
     by default one :class:`~repro.service.RunService` is built on
     ``config.cache_dir``.
+
+    The job table holds every queued and running job and the finished
+    ones not yet evicted: at most :data:`JOBS_KEPT` of them, none
+    finished more than :data:`JOB_TTL` seconds ago. Eviction runs as a
+    job finishes and on each lookup. Ids are issued in order, so an
+    evicted id needs no tombstone to tell it from one never issued.
     """
 
     def __init__(self, config: Optional[ServeConfig] = None,
@@ -251,15 +318,18 @@ class Daemon:
             tenant_burst=self.config.tenant_burst,
             tenant_max_pending=self.config.tenant_max_pending,
             tenants=self.config.tenants)
-        self._queue: "queue.Queue[Optional[Job]]" = \
+        self._queue: "queue.Queue[Optional[Tuple[Job, RunSpec]]]" = \
             queue.Queue(maxsize=self.config.max_queue)
+        # The job table, and the finished jobs in it as (monotonic
+        # finish time, id), oldest first.
         self._jobs: Dict[str, Job] = {}
+        self._finished: Deque[Tuple[float, str]] = deque()
         self._active: Dict[str, Job] = {}  # spec key -> queued/running job
         self._jobs_lock = threading.Lock()
         self._next_id = 0
         self._workers: List[threading.Thread] = []
         self._processes: List[WorkerProcess] = []
-        self._stopping = threading.Event()
+        self._stopping = False  # under _jobs_lock
         self._http_thread: Optional[threading.Thread] = None
 
         self._submissions = self.registry.counter(
@@ -267,6 +337,9 @@ class Daemon:
             "Job submissions by admission outcome.", label="outcome")
         self._jobs_counter = self.registry.counter(
             "daemon_jobs_total", "Jobs finished by status.", label="status")
+        self._evicted = self.registry.counter(
+            "daemon_jobs_evicted_total",
+            "Finished jobs evicted from the job table.")
         self._events_counter = self.registry.counter(
             "daemon_stream_events_total",
             "Streaming finding events delivered to job event logs.")
@@ -326,19 +399,27 @@ class Daemon:
                 if pid is not None]
 
     def shutdown(self) -> None:
-        """Graceful stop: close the listener, drain jobs, stop the
-        worker processes, flush the sink.
+        """Graceful stop: refuse submissions, close the listener, drain
+        jobs, stop the worker processes, flush the sink.
 
-        Queued and running jobs finish (up to ``drain_timeout``
-        seconds); new submissions are already impossible once the
-        listener is down. A worker process still busy after that is
-        killed, which fails its job, and a cold job still queued then
-        fails instead of starting a new process.
+        From its first step every :meth:`submit` answers 503. Queued
+        and running jobs finish (up to ``drain_timeout`` seconds). A
+        worker process still busy after that is killed, which fails its
+        job, and a cold job still queued then fails instead of starting
+        a new process. A job still queued once every worker thread has
+        exited (or on a daemon never started) fails here, releasing its
+        dedupe slot and tenant quota.
         """
-        if self._stopping.is_set():
-            return
-        self._stopping.set()
-        self._server.shutdown()
+        with self._jobs_lock:
+            # Under the lock submit enqueues under, so no job can be
+            # queued behind the workers' sentinels.
+            if self._stopping:
+                return
+            self._stopping = True
+        if self._workers:
+            # Workers start with the HTTP loop (start, serve_forever);
+            # waiting for a loop that never ran would never return.
+            self._server.shutdown()
         self._server.server_close()
         for _ in self._workers:
             # One sentinel per worker: each loop exits after the queue
@@ -350,7 +431,21 @@ class Daemon:
             worker.join(timeout=max(0.0, deadline - time.monotonic()))
         for process in self._processes:
             process.stop()
+        if not any(worker.is_alive() for worker in self._workers):
+            self._fail_queued()
         self.sink.flush()
+
+    def _fail_queued(self) -> None:
+        """Fail every job left in the queue: no worker will run it."""
+        while True:
+            try:
+                item = self._queue.get_nowait()
+            except queue.Empty:
+                return
+            if item is not None:
+                self._finish(item[0], "failed",
+                             error="ServiceError: the daemon shut down "
+                                   "before the job ran")
 
     # -- job execution -------------------------------------------------------
 
@@ -365,6 +460,10 @@ class Daemon:
                          "retry_after": retry_after}
         key = spec.key()
         with self._jobs_lock:
+            if self._stopping:
+                self.admission.release(tenant)
+                self._submissions.inc(label_value="rejected_shutdown")
+                return 503, {"error": "daemon is shutting down"}
             active = self._active.get(key)
             if active is not None:
                 # Same spec already queued or running: return that job
@@ -372,34 +471,32 @@ class Daemon:
                 self.admission.release(tenant)
                 self._submissions.inc(label_value="deduped")
                 return 200, {"id": active.id, "status": active.status,
-                             "deduped": True}
+                             "key": key, "deduped": True}
+            job = Job(_job_id(self._next_id + 1), key, tenant, spec.workload)
+            try:
+                self._queue.put_nowait((job, spec))
+            except queue.Full:
+                self.admission.release(tenant)
+                self._submissions.inc(label_value="rejected_queue")
+                return 429, {"error": "job queue is full", "retry_after": 1.0}
             self._next_id += 1
-            job = Job(f"job-{self._next_id:06d}", spec, tenant)
             self._jobs[job.id] = job
             self._active[key] = job
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
-            with self._jobs_lock:
-                del self._jobs[job.id]
-                self._active.pop(key, None)
-            self.admission.release(tenant)
-            self._submissions.inc(label_value="rejected_queue")
-            return 429, {"error": "job queue is full", "retry_after": 1.0}
         self._submissions.inc(label_value="accepted")
-        return 202, {"id": job.id, "status": job.status}
+        return 202, {"id": job.id, "status": job.status, "key": key}
 
     def _worker_loop(self, process: WorkerProcess) -> None:
         while True:
-            job = self._queue.get()
-            if job is None:
+            item = self._queue.get()
+            if item is None:
                 return
             try:
-                self._run_job(job, process)
+                self._run_job(*item, process)
             finally:
                 self._queue.task_done()
 
-    def _run_job(self, job: Job, process: WorkerProcess) -> None:
+    def _run_job(self, job: Job, spec: RunSpec,
+                 process: WorkerProcess) -> None:
         with job.cond:
             job.status = "running"
 
@@ -409,7 +506,7 @@ class Daemon:
                 on_event=lambda event: self._add_event(job, event)))
 
         try:
-            outcome = self.service.run(job.spec, execute=execute)
+            outcome = self.service.run(spec, execute=execute)
             if outcome.from_cache:
                 # A warm hit replays no live detector: surface the
                 # serialized findings as immediately-available events
@@ -418,26 +515,43 @@ class Daemon:
                     self._add_event(job, dict(finding))
             rows = self.sink.record_outcome(
                 outcome, job_id=job.id, key=job.key,
-                workload=job.spec.workload, tenant=job.tenant)
+                workload=job.workload, tenant=job.tenant)
+            packed = Job.pack(outcome)
         except Exception as exc:  # the job fails, the worker lives on
             if not isinstance(exc, ReproError):
                 traceback.print_exc()
-            self._retire(job)
-            job.finish("failed", error=describe(exc))
-            self._jobs_counter.inc(label_value="failed")
+            self._finish(job, "failed", error=describe(exc))
             return
         self._sink_rows.inc(rows)
-        self._retire(job)
-        job.finish("done", outcome=outcome, cached=outcome.from_cache)
-        self._jobs_counter.inc(label_value="done")
+        self._finish(job, "done", packed=packed, cached=outcome.from_cache)
 
-    def _retire(self, job: Job) -> None:
+    def _finish(self, job: Job, status: str, **fields: Any) -> None:
         """Release the job's dedupe slot and tenant quota (before it
-        reads as finished, so a resubmission never dedupes onto it)."""
+        reads as finished, so a resubmission never dedupes onto it),
+        finish it, then keep it in the table until it is evicted."""
         with self._jobs_lock:
             if self._active.get(job.key) is job:
                 del self._active[job.key]
         self.admission.release(job.tenant)
+        job.finish(status, **fields)
+        with self._jobs_lock:
+            self._finished.append((time.monotonic(), job.id))
+            self._evict()
+        self._jobs_counter.inc(label_value=status)
+
+    def _evict(self) -> None:
+        """Drop the finished jobs past :data:`JOBS_KEPT`, or finished
+        more than :data:`JOB_TTL` seconds ago, oldest first. Call under
+        ``_jobs_lock``."""
+        finished = self._finished
+        horizon = time.monotonic() - JOB_TTL
+        evicted = 0
+        while finished and (len(finished) > JOBS_KEPT
+                            or finished[0][0] < horizon):
+            del self._jobs[finished.popleft()[1]]
+            evicted += 1
+        if evicted:
+            self._evicted.inc(evicted)
 
     def _add_event(self, job: Job, event: Dict[str, Any]) -> None:
         event["job_id"] = job.id
@@ -447,11 +561,30 @@ class Daemon:
     # -- lookups -------------------------------------------------------------
 
     def get_job(self, job_id: str) -> Optional[Job]:
+        """The job with this id while the table holds it, else None
+        (:meth:`evicted` tells an evicted id from one never issued)."""
         with self._jobs_lock:
+            self._evict()
             return self._jobs.get(job_id)
 
-    def stats(self) -> Dict[str, Any]:
+    def evicted(self, job_id: str) -> bool:
+        """Whether ``job_id`` was issued and has left the job table."""
+        digits = job_id[len("job-"):]
+        # Count digits first: int() refuses more than 4,300 of them.
+        if not (digits.isascii() and digits.isdigit() and len(digits) < 20):
+            return False
+        number = int(digits)
         with self._jobs_lock:
+            return (_job_id(number) == job_id
+                    and 0 < number <= self._next_id
+                    and job_id not in self._jobs)
+
+    def stats(self) -> Dict[str, Any]:
+        """Daemon state; ``jobs`` counts the jobs the table holds, by
+        status (``daemon_jobs_total`` on ``/metrics`` counts every job
+        ever finished)."""
+        with self._jobs_lock:
+            self._evict()
             statuses: Dict[str, int] = {}
             for job in self._jobs.values():
                 statuses[job.status] = statuses.get(job.status, 0) + 1
@@ -469,6 +602,12 @@ class Daemon:
         reg = self.registry
         reg.gauge("daemon_queue_depth",
                   "Jobs waiting for a worker.").set(self._queue.qsize())
+        with self._jobs_lock:
+            self._evict()
+            retained = len(self._jobs)
+        reg.gauge("daemon_jobs_retained",
+                  "Jobs in the job table: in flight or finished and not "
+                  "yet evicted.").set(retained)
         sink_stats = self.sink.stats()
         reg.gauge("daemon_sink_segments",
                   "Sealed sink segments on disk.").set(sink_stats["segments"])
@@ -521,6 +660,20 @@ def _make_handler(daemon: Daemon):
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
             self.wfile.write(payload)
+
+        def _job(self, job_id: str) -> Optional[Job]:
+            """The job, or None after replying 410 (evicted) or 404
+            (never issued)."""
+            job = daemon.get_job(job_id)
+            if job is None:
+                if daemon.evicted(job_id):
+                    self._send_json(410, {
+                        "error": f"job {job_id!r} was evicted from the "
+                                 "job table; its outcome stays in the "
+                                 "result store under its key"})
+                else:
+                    self._send_json(404, {"error": f"no such job {job_id!r}"})
+            return job
 
         def _refuse(self, status: int, error: str) -> None:
             """Reply without reading (the rest of) the body, then close
@@ -593,13 +746,11 @@ def _make_handler(daemon: Daemon):
                 self._events(path[len("/v1/jobs/"):-len("/events")]
                              .strip("/"))
             elif path.startswith("/v1/jobs/"):
-                job_id = path[len("/v1/jobs/"):].strip("/")
-                job = daemon.get_job(job_id)
-                if job is None:
-                    self._send_json(404, {"error": f"no such job {job_id!r}"})
-                else:
+                job = self._job(path[len("/v1/jobs/"):].strip("/"))
+                if job is not None:
                     with job.cond:
-                        self._send_json(200, job.to_dict())
+                        body = job.to_json()
+                    self._send_text(200, body, "application/json")
             else:
                 self._send_json(404, {"error": f"unknown path {path}"})
 
@@ -631,9 +782,8 @@ def _make_handler(daemon: Daemon):
             self._send_json(200, {"workloads": rows, "count": len(rows)})
 
         def _events(self, job_id: str) -> None:
-            job = daemon.get_job(job_id)
+            job = self._job(job_id)
             if job is None:
-                self._send_json(404, {"error": f"no such job {job_id!r}"})
                 return
             self.send_response(200)
             self.send_header("Content-Type", "application/x-ndjson")
@@ -693,6 +843,10 @@ def _make_handler(daemon: Daemon):
             self._send_json(200, body)
 
     return Handler
+
+
+def _job_id(number: int) -> str:
+    return f"job-{number:06d}"
 
 
 def _decode_spec(body: Any) -> RunSpec:

@@ -1,5 +1,6 @@
 """The serve daemon end to end, over real HTTP on an ephemeral port."""
 
+import gc
 import glob
 import json
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 
@@ -20,6 +22,7 @@ from repro.context import using
 from repro.errors import ConfigError, ReproError, ServiceError
 from repro.obs import DefaultObs, ObsConfig
 from repro.request import RunRequest
+from repro.run import RunOutcome
 from repro.service import RunService
 from repro.service import daemon as daemon_module
 from repro.service.daemon import Daemon, ServeConfig
@@ -542,6 +545,71 @@ class TestGracefulShutdown:
         daemon.shutdown()
         assert time.monotonic() - start < 0.2
 
+    def test_submit_once_shutdown_began_gets_503(self, daemon):
+        daemon.shutdown()
+        status, body = daemon.submit(NATIVE.to_spec(), "t")
+        assert (status, body) == (503, {"error": "daemon is shutting down"})
+        assert daemon.stats()["jobs"] == {}
+        assert daemon.admission.quotas.snapshot() == {}
+        assert 'daemon_submissions_total{outcome="rejected_shutdown"} 1' \
+            in daemon.render_metrics()
+
+    def test_never_started_daemon_shuts_down_and_fails_its_queue(
+            self, tmp_path):
+        daemon = Daemon(ServeConfig(
+            port=0, cache_dir=str(tmp_path / "cache"),
+            sink_dir=str(tmp_path / "sink")))
+        status, body = daemon.submit(NATIVE.to_spec(), "t")
+        assert status == 202
+        stopper = threading.Thread(target=daemon.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(timeout=30)
+        assert not stopper.is_alive()
+        job = daemon.get_job(body["id"])
+        assert job.status == "failed" and job.events_done
+        assert job.error == \
+            "ServiceError: the daemon shut down before the job ran"
+        assert daemon.admission.quotas.snapshot() == {}
+        assert daemon.submit(NATIVE.to_spec(), "t")[0] == 503
+
+    def test_submits_racing_shutdown_leave_no_job_queued(self, tmp_path):
+        """Every submit either gets 503 or a job that ends; none queues
+        behind the workers' exit, holding its tenant quota."""
+        RunService(cache_dir=str(tmp_path / "cache")).run(NATIVE.to_spec())
+        daemon = make_daemon(tmp_path, workers=2)
+        spec = NATIVE.to_spec()
+        replies = []
+        start = threading.Barrier(4)
+
+        def submit():
+            start.wait(timeout=30)
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                reply = daemon.submit(spec, "t")
+                replies.append(reply)
+                if reply[0] == 503:
+                    return
+
+        interval = sys.getswitchinterval()
+        threads = [threading.Thread(target=submit) for _ in range(3)]
+        try:
+            sys.setswitchinterval(1e-5)
+            for thread in threads:
+                thread.start()
+            start.wait(timeout=30)
+            daemon.shutdown()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert {status for status, _ in replies} <= {200, 202, 503}
+        assert [status for status, _ in replies].count(503) == len(threads)
+        jobs = [daemon.get_job(body["id"]) for status, body in replies
+                if status != 503]
+        assert all(job.status == "done" for job in jobs)
+        assert daemon.admission.quotas.snapshot() == {}
+
 
 def make_daemon(tmp_path, workers=1, drain_timeout=60.0, **kwargs):
     return Daemon(ServeConfig(
@@ -885,3 +953,120 @@ class TestStartupFailures:
             ServeConfig(max_queue=0)
         with pytest.raises(ConfigError):
             ServeConfig(drain_timeout=-1.0)
+
+
+class TestJobRetention:
+    """The job table keeps at most JOBS_KEPT finished jobs, none older
+    than JOB_TTL seconds, each with its outcome compressed."""
+
+    @pytest.fixture
+    def warm(self, tmp_path):
+        """A daemon whose store already holds NATIVE (no process)."""
+        RunService(cache_dir=str(tmp_path / "cache")).run(NATIVE.to_spec())
+        d = make_daemon(tmp_path)
+        yield d
+        d.shutdown()
+
+    def test_count_bound_evicts_the_oldest_finished_jobs(
+            self, warm, monkeypatch):
+        monkeypatch.setattr(daemon_module, "JOBS_KEPT", 2)
+        client = Client(warm)
+        ids = []
+        for _ in range(4):
+            _, body, _ = client.submit(NATIVE)
+            assert client.wait(body["id"])["cached"] is True
+            ids.append(body["id"])
+        assert [warm.get_job(job_id) is None for job_id in ids] \
+            == [True, True, False, False]
+        assert warm.stats()["jobs"] == {"done": 2}
+        text = warm.render_metrics()
+        assert "\ndaemon_jobs_retained 2\n" in text
+        assert "\ndaemon_jobs_evicted_total 2\n" in text
+        assert 'daemon_jobs_total{status="done"} 4' in text
+
+    def test_age_bound_evicts_on_lookup(self, warm, monkeypatch):
+        client = Client(warm)
+        _, body, _ = client.submit(NATIVE)
+        client.wait(body["id"])
+        assert warm.get_job(body["id"]) is not None
+        monkeypatch.setattr(daemon_module, "JOB_TTL", 0.05)
+        time.sleep(0.1)
+        assert warm.get_job(body["id"]) is None
+        assert warm.stats()["jobs"] == {}
+
+    def test_evicted_id_410_never_issued_404(self, warm, monkeypatch):
+        monkeypatch.setattr(daemon_module, "JOBS_KEPT", 0)
+        client = Client(warm)
+        _, body, _ = client.submit(NATIVE)
+        job_id = body["id"]
+        wait_until(lambda: warm.get_job(job_id) is None)
+        for path in (f"/v1/jobs/{job_id}", f"/v1/jobs/{job_id}/events"):
+            status, reply, _ = client.request(path)
+            assert status == 410, path
+            assert "evicted" in reply["error"]
+        for never in ("job-000002", "job-1", "job-0000001", "job-000000",
+                      "job-" + "9" * 5000, "job-x"):
+            status, reply, _ = client.request(f"/v1/jobs/{never}")
+            assert status == 404, never
+            assert "no such job" in reply["error"]
+
+    def test_submit_reply_names_the_store_key(self, warm):
+        client = Client(warm)
+        key = NATIVE.to_spec().key()
+        status, body, _ = client.submit(NATIVE)
+        assert status == 202 and body["key"] == key
+        assert client.wait(body["id"])["key"] == key
+        assert warm.service.store.contains(key)
+
+    def test_kept_outcome_is_the_direct_runs(self, daemon):
+        """The reply is the direct run's dict as json.dumps(...,
+        sort_keys=True) writes it, byte for byte (16 threads: int keys
+        1..16 in numeric order), and job.outcome rehydrates it."""
+        request = RunRequest(workload="linear_regression", scale=0.1,
+                             detector="windowed")
+        client = Client(daemon)
+        _, body, _ = client.submit(request)
+        reply = client.wait(body["id"])
+        direct = request.execute().to_dict()
+        with urllib.request.urlopen(f"{client.base}/v1/jobs/{body['id']}",
+                                    timeout=60) as resp:
+            raw = resp.read().decode()
+        assert raw == json.dumps(dict(reply, outcome=direct), sort_keys=True)
+        job = daemon.get_job(body["id"])
+        assert not hasattr(job, "spec")
+        assert isinstance(job.outcome, RunOutcome)
+        assert json.dumps(job.outcome.to_dict(), sort_keys=True) \
+            == json.dumps(direct, sort_keys=True)
+
+    def test_bytes_kept_per_finished_job(self, tmp_path):
+        """200 warm windowed jobs: each finished job keeps about 7.7 KB
+        (job, compressed outcome, events, sink rows), where a job that
+        kept its RunOutcome held about 26 KB."""
+        spec = WINDOWED.to_spec()
+        RunService(cache_dir=str(tmp_path / "cache")).run(spec)
+        daemon = make_daemon(tmp_path)
+
+        def run(count):
+            for _ in range(count):
+                status, body = daemon.submit(spec, "t")
+                assert status == 202
+                job = daemon.get_job(body["id"])
+                with job.cond:
+                    assert job.cond.wait_for(lambda: job.events_done,
+                                             timeout=60)
+                assert job.status == "done" and len(job.events) == 3
+
+        try:
+            run(20)  # lazy imports and caches settle first
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run(200)
+                gc.collect()
+                per_job = (tracemalloc.get_traced_memory()[0] - base) / 200
+            finally:
+                tracemalloc.stop()
+        finally:
+            daemon.shutdown()
+        assert per_job < 10_000, f"{per_job:.0f} bytes per job"

@@ -12,6 +12,12 @@ job among them) alive. The daemon runs under ``-X faulthandler``: if it
 has not exited ``TIMEOUT`` seconds after SIGINT, it gets SIGABRT and the
 smoke prints every thread's stack before it fails.
 
+Before the SIGINT it resubmits the windowed job warm ``JOBS_KEPT + 100``
+times and fails unless ``/metrics`` shows at most ``JOBS_KEPT`` finished
+jobs retained (plus any in flight), evicted ids answer 410 and an id
+never issued 404. It reports the daemon's VmRSS growth per warm job
+(also to ``$GITHUB_STEP_SUMMARY`` when set); that figure is not gated.
+
 Usage: PYTHONPATH=src python tools/serve_smoke.py
 """
 
@@ -27,6 +33,8 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+
+from repro.service.daemon import JOBS_KEPT
 
 TIMEOUT = 120.0
 
@@ -142,6 +150,85 @@ def raw_post_status(base, length):
         fail(f"no reply to Content-Length {length}: {exc!r}")
 
 
+def get_status(url):
+    """Status of a GET (the body is read and dropped)."""
+    try:
+        with urllib.request.urlopen(url, timeout=30) as resp:
+            resp.read()
+            return resp.status
+    except urllib.error.HTTPError as exc:
+        return exc.code
+
+
+def vm_rss_kb(pid):
+    with open(f"/proc/{pid}/status") as handle:
+        for line in handle:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    fail(f"no VmRSS line for pid {pid}")
+
+
+def metric(text, series):
+    """The value of one exposition line, e.g. ``daemon_queue_depth`` or
+    ``daemon_jobs_total{status="done"}``; 0 when absent."""
+    for line in text.splitlines():
+        name, _, value = line.rpartition(" ")
+        if name == series:
+            return float(value)
+    return 0.0
+
+
+def check_retention(base, pid, body, first_id):
+    """Resubmit ``body`` warm ``JOBS_KEPT + 100`` times, one at a time;
+    the job table must stay bounded. Reports VmRSS growth per job."""
+    warm = JOBS_KEPT + 100
+    rss_before = vm_rss_kb(pid)
+    ids = []
+    for _ in range(warm):
+        request = urllib.request.Request(
+            f"{base}/v1/jobs", data=body,
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=30) as resp:
+            ids.append(json.loads(resp.read())["id"])
+        # The event stream ends when the job does.
+        with urllib.request.urlopen(f"{base}/v1/jobs/{ids[-1]}/events",
+                                    timeout=TIMEOUT) as resp:
+            resp.read()
+    rss_after = vm_rss_kb(pid)
+    with urllib.request.urlopen(f"{base}/metrics", timeout=30) as resp:
+        metrics = resp.read().decode()
+    done = metric(metrics, 'daemon_jobs_total{status="done"}')
+    if done != warm + 1:
+        fail(f"{done:.0f} jobs done, expected {warm + 1}")
+    in_flight = (metric(metrics,
+                        'daemon_submissions_total{outcome="accepted"}')
+                 - done - metric(metrics,
+                                 'daemon_jobs_total{status="failed"}'))
+    retained = metric(metrics, "daemon_jobs_retained")
+    if retained > JOBS_KEPT + in_flight:
+        fail(f"daemon_jobs_retained is {retained:.0f} after {warm} warm "
+             f"jobs, above JOBS_KEPT={JOBS_KEPT} plus {in_flight:.0f} "
+             "in flight")
+    evicted = metric(metrics, "daemon_jobs_evicted_total")
+    for job_id in (first_id, ids[0]):
+        status = get_status(f"{base}/v1/jobs/{job_id}")
+        if status != 410:
+            fail(f"evicted job {job_id} got {status}, expected 410")
+    status = get_status(f"{base}/v1/jobs/job-{10 * warm:06d}")
+    if status != 404:
+        fail(f"a job id never issued got {status}, expected 404")
+    growth = (rss_after - rss_before) / warm
+    report = (f"{warm} warm jobs: {retained:.0f} retained "
+              f"(JOBS_KEPT={JOBS_KEPT}), {evicted:.0f} evicted; daemon "
+              f"VmRSS {rss_before / 1024:.1f} -> {rss_after / 1024:.1f} MB, "
+              f"{growth:.2f} KB per warm job (reported, not gated)")
+    print(f"serve_smoke: {report}")
+    summary = os.environ.get("GITHUB_STEP_SUMMARY")
+    if summary:
+        with open(summary, "a", encoding="utf-8") as handle:
+            handle.write(f"Serve daemon job table: {report}\n")
+
+
 def check_bad_requests(base):
     """Each malformed body gets 400, each bad Content-Length its 400 or
     413; the windowed job submitted after them must still end done."""
@@ -217,6 +304,8 @@ def main():
         if events[0].get("line", 0) <= 0:
             fail(f"malformed finding event: {events[0]}")
         print(f"serve_smoke: {len(events)} finding event(s)")
+
+        check_retention(base, proc.pid, body, job_id)
 
         with urllib.request.urlopen(f"{base}/metrics", timeout=30) as resp:
             metrics = resp.read().decode()
