@@ -43,11 +43,10 @@ the same spec and cache entries carry no tenant identity; the tenant is
 recorded on the job and in the sink rows instead.
 
 The job table is bounded. A finished job keeps only what its replies
-need, with its outcome as zlib-compressed JSON, and stays for at most
-:data:`JOB_TTL` seconds and among the last :data:`JOBS_KEPT` finished
-jobs; ``GET`` on an evicted id answers 410, on an id never issued 404.
-The outcome itself stays in the result store under the job's ``key``,
-which the 202 reply to ``POST /v1/jobs`` names.
+need, with its outcome as zlib-compressed JSON, and stays among the
+last :data:`JOBS_KEPT` finished jobs; ``GET`` on an evicted id answers
+410, on an id never issued 404. Resubmitting the same spec serves the
+outcome warm from the result store while the store still holds it.
 
 Graceful shutdown (:meth:`Daemon.shutdown`, or SIGINT under ``repro
 serve``) stops accepting connections and submissions (503), drains
@@ -107,9 +106,6 @@ POLL_INTERVAL = 0.05
 #: Finished jobs the job table keeps; beyond that the oldest finished
 #: job is evicted (queued and running jobs are never evicted).
 JOBS_KEPT = 1024
-
-#: Seconds a finished job stays in the job table.
-JOB_TTL = 600.0
 
 
 @dataclass(frozen=True)
@@ -218,7 +214,9 @@ class Job:
             return None
         return RunOutcome.from_dict(json.loads(zlib.decompress(self._outcome)))
 
-    def to_dict(self, include_outcome: bool = True) -> Dict[str, Any]:
+    def to_dict(self) -> Dict[str, Any]:
+        """The job's fields, without its outcome (:meth:`to_json` adds
+        that)."""
         body: Dict[str, Any] = {
             "id": self.id,
             "status": self.status,
@@ -231,8 +229,6 @@ class Job:
             body["cached"] = self.cached
         if self.error is not None:
             body["error"] = self.error
-        if include_outcome and self._outcome is not None:
-            body["outcome"] = json.loads(zlib.decompress(self._outcome))
         return body
 
     def to_json(self) -> str:
@@ -241,7 +237,7 @@ class Job:
         Parsing it back would turn integer keys into strings, which sort
         in another order, so the reply would no longer be byte for byte
         the JSON of the outcome's own ``to_dict()``."""
-        body = self.to_dict(include_outcome=False)
+        body = self.to_dict()
         if self._outcome is None:
             return json.dumps(body, sort_keys=True)
         # Every body has keys on both sides of "outcome" (id, status).
@@ -287,10 +283,9 @@ class Daemon:
     by default one :class:`~repro.service.RunService` is built on
     ``config.cache_dir``.
 
-    The job table holds every queued and running job and the finished
-    ones not yet evicted: at most :data:`JOBS_KEPT` of them, none
-    finished more than :data:`JOB_TTL` seconds ago. Eviction runs as a
-    job finishes and on each lookup. Ids are issued in order, so an
+    The job table holds every queued and running job and the last
+    :data:`JOBS_KEPT` finished ones; each job that finishes evicts the
+    oldest finished job past that. Ids are issued in order, so an
     evicted id needs no tombstone to tell it from one never issued.
     """
 
@@ -320,10 +315,10 @@ class Daemon:
             tenants=self.config.tenants)
         self._queue: "queue.Queue[Optional[Tuple[Job, RunSpec]]]" = \
             queue.Queue(maxsize=self.config.max_queue)
-        # The job table, and the finished jobs in it as (monotonic
-        # finish time, id), oldest first.
+        # The job table, and the ids of the finished jobs in it, oldest
+        # first.
         self._jobs: Dict[str, Job] = {}
-        self._finished: Deque[Tuple[float, str]] = deque()
+        self._finished: Deque[str] = deque()
         self._active: Dict[str, Job] = {}  # spec key -> queued/running job
         self._jobs_lock = threading.Lock()
         self._next_id = 0
@@ -406,9 +401,7 @@ class Daemon:
         and running jobs finish (up to ``drain_timeout`` seconds). A
         worker process still busy after that is killed, which fails its
         job, and a cold job still queued then fails instead of starting
-        a new process. A job still queued once every worker thread has
-        exited (or on a daemon never started) fails here, releasing its
-        dedupe slot and tenant quota.
+        a new process.
         """
         with self._jobs_lock:
             # Under the lock submit enqueues under, so no job can be
@@ -416,10 +409,7 @@ class Daemon:
             if self._stopping:
                 return
             self._stopping = True
-        if self._workers:
-            # Workers start with the HTTP loop (start, serve_forever);
-            # waiting for a loop that never ran would never return.
-            self._server.shutdown()
+        self._server.shutdown()
         self._server.server_close()
         for _ in self._workers:
             # One sentinel per worker: each loop exits after the queue
@@ -431,21 +421,7 @@ class Daemon:
             worker.join(timeout=max(0.0, deadline - time.monotonic()))
         for process in self._processes:
             process.stop()
-        if not any(worker.is_alive() for worker in self._workers):
-            self._fail_queued()
         self.sink.flush()
-
-    def _fail_queued(self) -> None:
-        """Fail every job left in the queue: no worker will run it."""
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if item is not None:
-                self._finish(item[0], "failed",
-                             error="ServiceError: the daemon shut down "
-                                   "before the job ran")
 
     # -- job execution -------------------------------------------------------
 
@@ -528,30 +504,19 @@ class Daemon:
     def _finish(self, job: Job, status: str, **fields: Any) -> None:
         """Release the job's dedupe slot and tenant quota (before it
         reads as finished, so a resubmission never dedupes onto it),
-        finish it, then keep it in the table until it is evicted."""
+        finish it, then evict the oldest finished jobs past
+        :data:`JOBS_KEPT`."""
         with self._jobs_lock:
             if self._active.get(job.key) is job:
                 del self._active[job.key]
         self.admission.release(job.tenant)
         job.finish(status, **fields)
         with self._jobs_lock:
-            self._finished.append((time.monotonic(), job.id))
-            self._evict()
+            self._finished.append(job.id)
+            while len(self._finished) > JOBS_KEPT:
+                del self._jobs[self._finished.popleft()]
+                self._evicted.inc()
         self._jobs_counter.inc(label_value=status)
-
-    def _evict(self) -> None:
-        """Drop the finished jobs past :data:`JOBS_KEPT`, or finished
-        more than :data:`JOB_TTL` seconds ago, oldest first. Call under
-        ``_jobs_lock``."""
-        finished = self._finished
-        horizon = time.monotonic() - JOB_TTL
-        evicted = 0
-        while finished and (len(finished) > JOBS_KEPT
-                            or finished[0][0] < horizon):
-            del self._jobs[finished.popleft()[1]]
-            evicted += 1
-        if evicted:
-            self._evicted.inc(evicted)
 
     def _add_event(self, job: Job, event: Dict[str, Any]) -> None:
         event["job_id"] = job.id
@@ -564,7 +529,6 @@ class Daemon:
         """The job with this id while the table holds it, else None
         (:meth:`evicted` tells an evicted id from one never issued)."""
         with self._jobs_lock:
-            self._evict()
             return self._jobs.get(job_id)
 
     def evicted(self, job_id: str) -> bool:
@@ -584,7 +548,6 @@ class Daemon:
         status (``daemon_jobs_total`` on ``/metrics`` counts every job
         ever finished)."""
         with self._jobs_lock:
-            self._evict()
             statuses: Dict[str, int] = {}
             for job in self._jobs.values():
                 statuses[job.status] = statuses.get(job.status, 0) + 1
@@ -602,12 +565,9 @@ class Daemon:
         reg = self.registry
         reg.gauge("daemon_queue_depth",
                   "Jobs waiting for a worker.").set(self._queue.qsize())
-        with self._jobs_lock:
-            self._evict()
-            retained = len(self._jobs)
         reg.gauge("daemon_jobs_retained",
                   "Jobs in the job table: in flight or finished and not "
-                  "yet evicted.").set(retained)
+                  "yet evicted.").set(len(self._jobs))
         sink_stats = self.sink.stats()
         reg.gauge("daemon_sink_segments",
                   "Sealed sink segments on disk.").set(sink_stats["segments"])
@@ -669,8 +629,9 @@ def _make_handler(daemon: Daemon):
                 if daemon.evicted(job_id):
                     self._send_json(410, {
                         "error": f"job {job_id!r} was evicted from the "
-                                 "job table; its outcome stays in the "
-                                 "result store under its key"})
+                                 "job table; resubmit its spec to get the "
+                                 "outcome (warm while the result store "
+                                 "holds it)"})
                 else:
                     self._send_json(404, {"error": f"no such job {job_id!r}"})
             return job
